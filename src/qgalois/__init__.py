@@ -22,7 +22,6 @@ from .errors import (
     SingularSolutionError,
     BasePointSingularError,
     InsufficientSamplesError,
-    NotQRealError,
 )
 from .spiral import (
     SpiralPoint,
@@ -71,7 +70,6 @@ from .hypersystem import (
     local_solution_zero_log,
     local_solution_infinity_log,
     e_matrix,
-    extend_solution,
     fmatrix_at,
     solution_matrix,
     gauge_residual,

@@ -12,7 +12,7 @@ import cmath
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .errors import QGaloisError
 from .hypersystem import HyperParams
 from . import connection as cn
 from . import galois as ga
-from . import mat3
 from . import verify as vf
 
 __all__ = ["RunConfig", "build_parser", "cmd_classify", "cmd_connection", "cmd_verify", "main"]
@@ -163,22 +162,11 @@ def cmd_connection(config: RunConfig, p: HyperParams, zs: list[complex]) -> int:
         entry: dict = {"z": z}
         try:
             ev = cn.connection_eval(p, z, ctx, "both")
-            det_n = complex(np.linalg.det(ev.P_twisted))
-            det_c = cn.det_formula(p, z, ctx)
-            minor_mismatch = 0.0
-            for rr in ((1, 2), (1, 3), (2, 3)):
-                for cc in ((1, 2), (1, 3), (2, 3)):
-                    m = mat3.minor2(ev.P_twisted, rr, cc)
-                    mf = cn.minor_formula(p, rr, cc, z, ctx)
-                    minor_mismatch = max(minor_mismatch, abs(m - mf) / max(abs(mf), 1e-300))
             entry.update(
                 P=ev.P,
                 P_twisted=ev.P_twisted,
                 cross_method_residual=ev.residual_cross,
-                det_numeric=det_n,
-                det_closed_form=det_c,
-                det_mismatch=abs(det_n - det_c) / max(abs(det_c), 1e-300),
-                max_minor_mismatch=minor_mismatch,
+                **asdict(cn.check_det_minors(p, ev.P_twisted, z, ctx)),
             )
         except QGaloisError as exc:
             entry["skipped"] = f"{type(exc).__name__}: {exc}"

@@ -6,11 +6,21 @@ closed form from the Barnes-Mellin-Watson summation as a matrix of theta
 quotients.  The twisted matrix multiplies the theta-quotient core by the
 spiral-power weights (1/z)^(-alpha_i) and z^(-beta_j); its determinant and all
 nine 2x2 minors have closed forms implemented here as independent oracles.
+
+Every q-Pochhammer factor in these closed forms depends on the parameters
+only, as do the local solutions.  That data is computed once per equation and
+memoized on the HyperParams instance, one record per QContext: the local
+pair, the genericity verdict, the 31 distinct (x;q)_infinity values, the p_ij
+matrix built from them, the determinant prefactor and the z-independent
+factor of each minor.  The record lives as long as the instance, so reuse one
+instance across evaluation points; an equal but distinct instance computes
+its own.  A computation that raises stores nothing.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +43,12 @@ from .hypersystem import (
     local_solution_zero,
     local_solution_zero_log,
 )
-from .qseries import qcharacter, qpoch_inf_product, theta
+from .qseries import qcharacter, qpochhammer_infinite, theta
 from .spiral import g_endomorphism, in_q_spiral
 
 __all__ = [
     "ConnectionEval",
+    "DetMinorCheck",
     "pochhammer_coefficient",
     "core_closed_form",
     "core_numeric",
@@ -47,6 +58,7 @@ __all__ = [
     "twisted_birkhoff",
     "det_formula",
     "minor_formula",
+    "check_det_minors",
     "connection_logarithmic",
     "connection_eval",
     "local_pair",
@@ -64,21 +76,129 @@ class ConnectionEval:
     residual_cross: float | None = None
 
 
-def _complement(i: int) -> tuple[int, int]:
-    return tuple(k for k in (1, 2, 3) if k != i)
+def _others(k: int) -> list[int]:
+    """The two 0-based indices other than k."""
+    return [m for m in range(3) if m != k]
 
 
-def _require_generic(p: HyperParams, ctx: QContext) -> None:
-    """Genericity hypotheses behind the closed forms: all a-ratios and
-    b2, b3, b2/b3 off the discrete spiral."""
-    a = p.a
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if in_q_spiral(a[i] / a[j], ctx).member:
-                raise SpiralCollisionError(f"a{i+1}/a{j+1} lies on q^Z")
-    for label, v in (("b2", p.b2), ("b3", p.b3), ("b2/b3", p.b2 / p.b3)):
-        if in_q_spiral(v, ctx).member:
-            raise SpiralCollisionError(f"{label} lies on q^Z")
+class _Equation:
+    """The z-independent data of one equation at one q, each part computed
+    on first use.  A part whose computation raises is not stored, so the
+    error is raised again on the next use."""
+
+    def __init__(self, p: HyperParams, ctx: QContext):
+        self.p = p
+        self.ctx = ctx
+        self.minors: dict[tuple, complex] = {}
+
+    @functools.cached_property
+    def local_pair(self) -> tuple[LocalData, LocalData]:
+        p, ctx = self.p, self.ctx
+        v = check_fuchsian_nonresonant(p, ctx)
+        if v.zero.logarithmic:
+            loc0 = local_solution_zero_log(p, ctx)
+        else:
+            loc0 = local_solution_zero(p, ctx)
+        if v.infinity.logarithmic:
+            locinf = local_solution_infinity_log(p, ctx)
+        else:
+            locinf = local_solution_infinity(p, ctx)
+        return loc0, locinf
+
+    @functools.cached_property
+    def collision(self) -> str | None:
+        """The genericity hypothesis behind the closed forms that fails, if
+        any: all a-ratios and b2, b3, b2/b3 must lie off the discrete spiral."""
+        p, ctx = self.p, self.ctx
+        a = p.a
+        for i in range(3):
+            for j in range(i + 1, 3):
+                if in_q_spiral(a[i] / a[j], ctx).member:
+                    return f"a{i+1}/a{j+1} lies on q^Z"
+        for label, v in (("b2", p.b2), ("b3", p.b3), ("b2/b3", p.b2 / p.b3)):
+            if in_q_spiral(v, ctx).member:
+                return f"{label} lies on q^Z"
+        return None
+
+    @functools.cached_property
+    def pochhammer(self) -> tuple[list, list, list, list, complex]:
+        """The 31 distinct (x;q)_inf of the closed forms, with 0-based indices:
+        qa[j][i] = ((q/b_j) a_i), ba[j][i] = (b_j/a_i), qb[j][k] = ((q/b_j) b_k)
+        for k != j, aa[k][i] = (a_k/a_i) for k != i, and qq = (q;q)_inf."""
+        ctx = self.ctx
+        a, b = self.p.a, self.p.b(ctx)
+
+        def qp(x: complex) -> complex:
+            return qpochhammer_infinite(x, ctx)[0]
+
+        s = [ctx.q / bj for bj in b]
+        qa = [[qp(s[j] * ai) for ai in a] for j in range(3)]
+        ba = [[qp(bj / ai) for ai in a] for bj in b]
+        qb = [[qp(s[j] * b[k]) if k != j else None for k in range(3)] for j in range(3)]
+        aa = [[qp(a[k] / a[i]) if k != i else None for i in range(3)] for k in range(3)]
+        return qa, ba, qb, aa, qp(ctx.q)
+
+    def coefficient_factors(self, i: int, j: int) -> tuple[list, list]:
+        """Numerator and denominator factors of p_{i+1,j+1} (0-based i, j)."""
+        qa, ba, qb, aa, _ = self.pochhammer
+        num = [qa[j][k] for k in _others(i)] + [ba[k][i] for k in _others(j)]
+        den = [qb[j][k] for k in _others(j)] + [aa[k][i] for k in _others(i)]
+        return num, den
+
+    @functools.cached_property
+    def p_matrix(self) -> tuple[tuple[complex, ...], ...]:
+        """p_ij as nested rows, 0-based."""
+        return tuple(
+            tuple(pochhammer_coefficient(self.p, i, j, self.ctx) for j in (1, 2, 3))
+            for i in (1, 2, 3)
+        )
+
+    @functools.cached_property
+    def det_prefactor(self) -> complex:
+        q = self.ctx.q
+        a1, a2, a3 = self.p.a
+        b2, b3 = self.p.b2, self.p.b3
+        return (
+            q
+            * ((1 - q / b2) * (1 - q / b3) * (1 / b2 - 1 / b3))
+            / ((1 / a2 - 1 / a1) * (1 / a3 - 1 / a1) * (1 / a2 - 1 / a3))
+        )
+
+    def minor_constant(self, rows: tuple[int, int], cols: tuple[int, int]) -> complex:
+        """The z-independent factor pref * num * theta(a_i1/a_i2) *
+        theta(b_j1/b_j2) / den of the (rows) x (cols) minor."""
+        key = (tuple(rows), tuple(cols))
+        if key not in self.minors:
+            q = self.ctx.q
+            a, b = self.p.a, self.p.b(self.ctx)
+            qa, ba, _, _, qq = self.pochhammer
+            i1, i2 = (k - 1 for k in rows)
+            j1, j2 = (k - 1 for k in cols)
+            i3, j3 = 3 - i1 - i2, 3 - j1 - j2
+            num = qa[j1][i3] * ba[j3][i1] * qa[j2][i3] * ba[j3][i2]
+            den = math.prod(
+                self.coefficient_factors(i1, j1)[1] + self.coefficient_factors(i2, j2)[1]
+            )
+            pref = (-q / qq ** 2) * (a[i2] / b[j1])
+            thetas = theta(a[i1] / a[i2], self.ctx) * theta(b[j1] / b[j2], self.ctx)
+            self.minors[key] = pref * num * thetas / den
+        return self.minors[key]
+
+
+def _equation(p: HyperParams, ctx: QContext) -> _Equation:
+    """The memo of p at ctx, created on first use and kept on p."""
+    eq = p._memo.get(ctx)
+    if eq is None:
+        eq = p._memo[ctx] = _Equation(p, ctx)
+    return eq
+
+
+def _generic(p: HyperParams, ctx: QContext) -> _Equation:
+    """The memo of p at ctx, after checking the genericity hypotheses."""
+    eq = _equation(p, ctx)
+    if eq.collision is not None:
+        raise SpiralCollisionError(eq.collision)
+    return eq
 
 
 def pochhammer_coefficient(p: HyperParams, i: int, j: int, ctx: QContext) -> complex:
@@ -88,46 +208,26 @@ def pochhammer_coefficient(p: HyperParams, i: int, j: int, ctx: QContext) -> com
     ((q/b_j) a_i', (q/b_j) a_i'', b_j'/a_i, b_j''/a_i ; q)_inf over
     ((q/b_j) b_j', (q/b_j) b_j'', a_i'/a_i, a_i''/a_i ; q)_inf.
     """
-    a = p.a
-    b = p.b(ctx)
-    s = ctx.q / b[j - 1]
-    ic = _complement(i)
-    jc = _complement(j)
-    num = [s * a[k - 1] for k in ic] + [b[k - 1] / a[i - 1] for k in jc]
-    den = [s * b[k - 1] for k in jc] + [a[k - 1] / a[i - 1] for k in ic]
-    return qpoch_inf_product(num, ctx) / qpoch_inf_product(den, ctx)
+    num, den = _equation(p, ctx).coefficient_factors(i - 1, j - 1)
+    return math.prod(num) / math.prod(den)
 
 
 def core_closed_form(p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:
     """The theta-quotient core M with M_ij = p_ij theta_q(q a_i z/b_j)/theta_q(z)."""
-    _require_generic(p, ctx)
+    pm = _generic(p, ctx).p_matrix
     b = p.b(ctx)
     tz = theta(z, ctx)
     out = np.empty((3, 3), dtype=complex)
-    for i in range(1, 4):
-        for j in range(1, 4):
-            out[i - 1, j - 1] = (
-                pochhammer_coefficient(p, i, j, ctx)
-                * theta(ctx.q * p.a[i - 1] * z / b[j - 1], ctx)
-                / tz
-            )
+    for i in range(3):
+        for j in range(3):
+            out[i, j] = pm[i][j] * theta(ctx.q * p.a[i] * z / b[j], ctx) / tz
     return out
 
 
-@functools.lru_cache(maxsize=32)
 def local_pair(p: HyperParams, ctx: QContext) -> tuple[LocalData, LocalData]:
     """Local solutions at 0 and infinity, choosing the logarithmic limit
     constructions when the parameters demand them."""
-    v = check_fuchsian_nonresonant(p, ctx)
-    if v.zero.logarithmic:
-        loc0 = local_solution_zero_log(p, ctx)
-    else:
-        loc0 = local_solution_zero(p, ctx)
-    if v.infinity.logarithmic:
-        locinf = local_solution_infinity_log(p, ctx)
-    else:
-        locinf = local_solution_infinity(p, ctx)
-    return loc0, locinf
+    return _equation(p, ctx).local_pair
 
 
 def core_numeric(p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:
@@ -147,19 +247,21 @@ def _core(p: HyperParams, z: complex, ctx: QContext, method: str) -> np.ndarray:
     raise DomainError(f"unknown method {method!r}")
 
 
+def _e_pair(p: HyperParams, z: complex, ctx: QContext) -> tuple[np.ndarray, np.ndarray]:
+    """Character matrices e_J(z) of the local solutions at infinity and at 0."""
+    loc0, locinf = local_pair(p, ctx)
+    return e_matrix(locinf.dunford, z, "infinity", ctx), e_matrix(loc0.dunford, z, "zero", ctx)
+
+
 def birkhoff_numeric(p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:
     """P(z) = Y_infinity(z)^{-1} Y_zero(z); entries are elliptic."""
-    loc0, locinf = local_pair(p, ctx)
-    ei = e_matrix(locinf.dunford, z, "infinity", ctx)
-    e0 = e_matrix(loc0.dunford, z, "zero", ctx)
+    ei, e0 = _e_pair(p, z, ctx)
     return np.linalg.solve(ei, core_numeric(p, z, ctx)) @ e0
 
 
 def birkhoff_closed_form(p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:
     """P(z) from the Barnes-Mellin-Watson theta-quotient core."""
-    loc0, locinf = local_pair(p, ctx)
-    ei = e_matrix(locinf.dunford, z, "infinity", ctx)
-    e0 = e_matrix(loc0.dunford, z, "zero", ctx)
+    ei, e0 = _e_pair(p, z, ctx)
     return np.linalg.solve(ei, core_closed_form(p, z, ctx)) @ e0
 
 
@@ -202,18 +304,12 @@ def twisted_birkhoff(
 
 def det_formula(p: HyperParams, z: complex, ctx: QContext) -> complex:
     """Closed form of det of the twisted connection matrix."""
-    _require_generic(p, ctx)
+    pref = _generic(p, ctx).det_prefactor
     q = ctx.q
     a1, a2, a3 = p.a
-    b2, b3 = p.b2, p.b3
-    pref = (
-        q
-        * ((1 - q / b2) * (1 - q / b3) * (1 / b2 - 1 / b3))
-        / ((1 / a2 - 1 / a1) * (1 / a3 - 1 / a1) * (1 / a2 - 1 / a3))
-    )
     rows, cols = _twist_weights(p, z, ctx)
     powers = np.prod(np.diag(rows)) * np.prod(np.diag(cols))
-    return pref * powers * theta(q * q * a1 * a2 * a3 * z / (b2 * b3), ctx) / theta(z, ctx)
+    return pref * powers * theta(q * q * a1 * a2 * a3 * z / (p.b2 * p.b3), ctx) / theta(z, ctx)
 
 
 def minor_formula(
@@ -224,48 +320,53 @@ def minor_formula(
     ctx: QContext,
 ) -> complex:
     """Closed form of the (i1,i2) x (j1,j2) minor of the twisted matrix."""
-    _require_generic(p, ctx)
+    eq = _generic(p, ctx)
+    for pair in (rows, cols):
+        if pair[0] == pair[1] or not all(k in (1, 2, 3) for k in pair):
+            raise DomainError(f"bad index pair {pair}")
     q = ctx.q
     a = p.a
     b = p.b(ctx)
     (i1, i2), (j1, j2) = rows, cols
-    for pair in (rows, cols):
-        if pair[0] == pair[1] or not all(k in (1, 2, 3) for k in pair):
-            raise DomainError(f"bad index pair {pair}")
-    i3 = next(k for k in (1, 2, 3) if k not in rows)
-    j3 = next(k for k in (1, 2, 3) if k not in cols)
-
-    def av(i):
-        return a[i - 1]
-
-    def bv(j):
-        return b[j - 1]
-
-    num = qpoch_inf_product(
-        [
-            (q / bv(j1)) * av(i3),
-            bv(j3) / av(i1),
-            (q / bv(j2)) * av(i3),
-            bv(j3) / av(i2),
-        ],
-        ctx,
-    )
-    den_args = []
-    for j, i in ((j1, i1), (j2, i2)):
-        den_args.extend((q / bv(j)) * bv(k) for k in _complement(j))
-        den_args.extend(av(k) / av(i) for k in _complement(i))
-    den = qpoch_inf_product(den_args, ctx)
-
-    qq = qpoch_inf_product([q], ctx)
-    pref = (-q / qq ** 2) * (av(i2) / bv(j1))
-    thetas = theta(av(i1) / av(i2), ctx) * theta(bv(j1) / bv(j2), ctx)
     powers = 1.0
     for i in (i1, i2):
-        powers /= g_endomorphism(1.0 / z, av(i), ctx)
+        powers /= g_endomorphism(1.0 / z, a[i - 1], ctx)
     for j in (j1, j2):
-        powers /= g_endomorphism(z, bv(j), ctx)
-    quotient = theta(q * q * av(i1) * av(i2) * z / (bv(j1) * bv(j2)), ctx) / theta(z, ctx)
-    return pref * num * thetas / den * powers * quotient
+        powers /= g_endomorphism(z, b[j - 1], ctx)
+    quotient = (
+        theta(q * q * a[i1 - 1] * a[i2 - 1] * z / (b[j1 - 1] * b[j2 - 1]), ctx)
+        / theta(z, ctx)
+    )
+    return eq.minor_constant(rows, cols) * powers * quotient
+
+
+@dataclass(frozen=True)
+class DetMinorCheck:
+    """A twisted matrix against the determinant and minor closed forms; the
+    mismatches are relative, the minor one the worst of all nine."""
+
+    det_numeric: complex
+    det_closed_form: complex
+    det_mismatch: float
+    max_minor_mismatch: float
+
+
+def check_det_minors(p: HyperParams, B: np.ndarray, z: complex, ctx: QContext) -> DetMinorCheck:
+    """Check the twisted matrix B at z against det_formula and all nine
+    minor_formula values."""
+    det_n = complex(np.linalg.det(B))
+    det_c = det_formula(p, z, ctx)
+    worst = 0.0
+    for rows in ((1, 2), (1, 3), (2, 3)):
+        for cols in ((1, 2), (1, 3), (2, 3)):
+            mf = minor_formula(p, rows, cols, z, ctx)
+            worst = max(worst, abs(minor2(B, rows, cols) - mf) / max(abs(mf), 1e-300))
+    return DetMinorCheck(
+        det_numeric=det_n,
+        det_closed_form=det_c,
+        det_mismatch=abs(det_n - det_c) / max(abs(det_c), 1e-300),
+        max_minor_mismatch=worst,
+    )
 
 
 def connection_logarithmic(p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:
@@ -301,26 +402,21 @@ def connection_eval(
     p: HyperParams, z: complex, ctx: QContext, method: str = "both"
 ) -> ConnectionEval:
     """P and the twisted matrix at z; with method='both' also the cross-method
-    disagreement of P (relative, entrywise max)."""
+    disagreement of P (relative, entrywise max).  The core and the character
+    matrices are evaluated once and shared by P and the twisted matrix."""
+    ei, e0 = _e_pair(p, z, ctx)
     if method == "both":
-        Pn = birkhoff_numeric(p, z, ctx)
-        Pc = birkhoff_closed_form(p, z, ctx)
-        res = float(np.max(np.abs(Pn - Pc)) / max(np.max(np.abs(Pc)), 1e-300))
-        return ConnectionEval(
-            z=z,
-            P=Pc,
-            P_twisted=twisted_birkhoff(p, z, ctx, "closed_form"),
-            method="both",
-            residual_cross=res,
-        )
-    P = (
-        birkhoff_numeric(p, z, ctx)
-        if method == "numeric"
-        else birkhoff_closed_form(p, z, ctx)
-    )
+        Pn = np.linalg.solve(ei, core_numeric(p, z, ctx)) @ e0
+    core = _core(p, z, ctx, "closed_form" if method == "both" else method)
+    P = np.linalg.solve(ei, core) @ e0
+    res = None
+    if method == "both":
+        res = float(np.max(np.abs(Pn - P)) / max(np.max(np.abs(P)), 1e-300))
+    rows, cols = _twist_weights(p, z, ctx)
     return ConnectionEval(
         z=z,
         P=P,
-        P_twisted=twisted_birkhoff(p, z, ctx, method),
+        P_twisted=rows @ core @ cols,
         method=method,
+        residual_cross=res,
     )

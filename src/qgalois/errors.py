@@ -59,7 +59,3 @@ class BasePointSingularError(QGaloisError, ValueError):
 
 class InsufficientSamplesError(QGaloisError, ValueError):
     """Not enough sample points for a least-squares fit."""
-
-
-class NotQRealError(QGaloisError, ValueError):
-    """Operation requires q-real parameters (all unit factors equal to 1)."""

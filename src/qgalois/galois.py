@@ -328,7 +328,7 @@ def obstruction_samples(p: HyperParams, ctx: QContext) -> list[complex]:
     if case == "i":
         anchor = p.b2 / (ctx.q * p.a[0])
     else:
-        anchor = 1.0 / p.a[0] if case == "iii" else 1.0 / p.a[0]
+        anchor = 1.0 / p.a[0]
     sp = decompose(anchor, ctx)
     for offset in (1e-3, -1e-3):
         # land on the anchor spiral inside the working annulus, then nudge off

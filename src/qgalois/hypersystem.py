@@ -42,7 +42,6 @@ __all__ = [
     "local_solution_zero_log",
     "local_solution_infinity_log",
     "e_matrix",
-    "extend_solution",
     "fmatrix_at",
     "solution_matrix",
     "gauge_residual",
@@ -52,11 +51,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Parameters (a1,a2,a3; b2,b3) of the order-3 system; b1 = q implicitly."""
+    """Parameters (a1,a2,a3; b2,b3) of the order-3 system; b1 = q implicitly.
+
+    `_memo` holds data derived from the parameters, keyed by QContext; the
+    connection layer fills it, so reusing one instance reuses that data.
+    """
 
     a: tuple[complex, complex, complex]
     b2: complex
     b3: complex
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.a) != 3:
@@ -331,56 +335,34 @@ def _continued(
     ctx: QContext,
     side: str,
     radius: float,
-    rmul: np.ndarray | None,
+    rmul: np.ndarray,
 ) -> np.ndarray:
-    """Continue a matrix solution along the q-shift chain to z.
-
-    rmul is the right multiplier applied per step (J for gauge matrices F,
-    None/identity for full solutions Y).
-    """
+    """Continue a gauge matrix along the q-shift chain to z, applying the
+    right multiplier rmul (the exponent matrix J) once per step."""
     absq = abs(ctx.q)
     if side == "zero":
         if abs(z) <= radius:
             return f_inner(z)
         m = max(1, math.ceil(math.log(abs(z) / radius) / math.log(1.0 / absq)))
         val = f_inner(z * ctx.q ** m)
-        rinv = None
         for j in range(m - 1, -1, -1):
             point = z * ctx.q ** j
             if abs(point - 1.0) < 1e-8:
                 raise PoleChainError(f"chain point {point} hits the singular point 1")
             A = system_matrix(p, point, ctx)
-            val = np.linalg.solve(A, val)
-            if rmul is not None:
-                val = val @ rmul
+            val = np.linalg.solve(A, val) @ rmul
         return val
     # infinity side
     if abs(z) >= radius:
         return f_inner(z)
     m = max(1, math.ceil(math.log(radius / abs(z)) / math.log(1.0 / absq)))
     val = f_inner(z / ctx.q ** m)
-    if rmul is not None:
-        rinv = np.linalg.inv(rmul)
+    rinv = np.linalg.inv(rmul)
     for j in range(m - 1, -1, -1):
         prev = z / ctx.q ** (j + 1)
         A = system_matrix(p, prev, ctx)
-        val = A @ val
-        if rmul is not None:
-            val = val @ rinv
+        val = A @ val @ rinv
     return val
-
-
-def extend_solution(
-    y_eval: Callable[[complex], np.ndarray],
-    p: HyperParams,
-    z: complex,
-    ctx: QContext,
-    side: str = "zero",
-    radius: float = 0.5,
-) -> np.ndarray:
-    """Evaluate a full solution Y (Y(qz) = A(z) Y(z)) at z, iterating the
-    functional equation from inside the series domain when needed."""
-    return _continued(y_eval, p, z, ctx, side, radius, rmul=None)
 
 
 def fmatrix_at(local: LocalData, p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:

@@ -150,15 +150,11 @@ def suite_detminors(
     det_res = minor_res = laplace_res = 0.0
     for z in random_annulus_points(rng, n_points, ctx):
         B = cn.twisted_birkhoff(p, z, ctx, "closed_form")
-        d = np.linalg.det(B)
-        f = cn.det_formula(p, z, ctx)
-        det_res = max(det_res, abs(d - f) / max(abs(f), 1e-300))
+        check = cn.check_det_minors(p, B, z, ctx)
+        f = check.det_closed_form
+        det_res = max(det_res, check.det_mismatch)
+        minor_res = max(minor_res, check.max_minor_mismatch)
         lap = 0.0
-        for rows in ((1, 2), (1, 3), (2, 3)):
-            for cols in ((1, 2), (1, 3), (2, 3)):
-                m = mat3.minor2(B, rows, cols)
-                mf = cn.minor_formula(p, rows, cols, z, ctx)
-                minor_res = max(minor_res, abs(m - mf) / max(abs(mf), 1e-300))
         # Laplace expansion of det along row 1 with the minor closed forms
         for j, sign in ((1, 1.0), (2, -1.0), (3, 1.0)):
             cols = tuple(c for c in (1, 2, 3) if c != j)

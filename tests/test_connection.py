@@ -2,10 +2,12 @@
 ellipticity, determinant/minor closed forms, and the logarithmic limits."""
 
 import cmath
+import json
 
 import numpy as np
 import pytest
 
+from qgalois import cli, connection, qseries
 from qgalois import (
     HyperParams,
     QContext,
@@ -14,6 +16,7 @@ from qgalois import (
     birkhoff_numeric,
     connection_eval,
     connection_logarithmic,
+    core_closed_form,
     core_numeric,
     det_formula,
     minor2,
@@ -158,3 +161,135 @@ def test_connection_eval_single_method(ctx, p):
     ev = connection_eval(p, 0.75 + 0.2j, ctx, "closed_form")
     assert ev.residual_cross is None
     assert ev.P.shape == (3, 3) and ev.P_twisted.shape == (3, 3)
+
+
+# --- per-equation constants ------------------------------------------------
+
+_PAIRS = ((1, 2), (1, 3), (2, 3))
+
+
+def _counting_qpoch(monkeypatch):
+    """Count (x;q)_inf evaluations through every binding the package calls."""
+    calls = []
+    original = qseries.qpochhammer_infinite
+
+    def counted(x, ctx):
+        calls.append(x)
+        return original(x, ctx)
+
+    monkeypatch.setattr(qseries, "qpochhammer_infinite", counted)
+    monkeypatch.setattr(connection, "qpochhammer_infinite", counted)
+    return calls
+
+
+def _reference_p(p, i, j, ctx):
+    q, a, b = ctx.q, p.a, p.b(ctx)
+    ic = [k for k in (1, 2, 3) if k != i]
+    jc = [k for k in (1, 2, 3) if k != j]
+    s = q / b[j - 1]
+    num = [s * a[k - 1] for k in ic] + [b[k - 1] / a[i - 1] for k in jc]
+    den = [s * b[k - 1] for k in jc] + [a[k - 1] / a[i - 1] for k in ic]
+    return qpoch_inf_product(num, ctx) / qpoch_inf_product(den, ctx)
+
+
+def _weights(p, z, ctx, rows, cols):
+    w = 1.0
+    for i in rows:
+        w /= g_endomorphism(1.0 / z, p.a[i - 1], ctx)
+    for j in cols:
+        w /= g_endomorphism(z, p.b(ctx)[j - 1], ctx)
+    return w
+
+
+def _reference_det(p, z, ctx):
+    q = ctx.q
+    a1, a2, a3 = p.a
+    b2, b3 = p.b2, p.b3
+    pref = q * (1 - q / b2) * (1 - q / b3) * (1 / b2 - 1 / b3) / (
+        (1 / a2 - 1 / a1) * (1 / a3 - 1 / a1) * (1 / a2 - 1 / a3)
+    )
+    w = _weights(p, z, ctx, (1, 2, 3), (1, 2, 3))
+    return pref * w * theta(q * q * a1 * a2 * a3 * z / (b2 * b3), ctx) / theta(z, ctx)
+
+
+def _reference_minor(p, rows, cols, z, ctx):
+    q, a, b = ctx.q, p.a, p.b(ctx)
+    (i1, i2), (j1, j2) = rows, cols
+    i3 = 6 - i1 - i2
+    j3 = 6 - j1 - j2
+
+    def A(i):
+        return a[i - 1]
+
+    def B(j):
+        return b[j - 1]
+
+    num = qpoch_inf_product(
+        [q / B(j1) * A(i3), B(j3) / A(i1), q / B(j2) * A(i3), B(j3) / A(i2)], ctx
+    )
+    den = 1.0
+    for j, i in ((j1, i1), (j2, i2)):
+        den *= qpoch_inf_product(
+            [q / B(j) * B(k) for k in (1, 2, 3) if k != j]
+            + [A(k) / A(i) for k in (1, 2, 3) if k != i],
+            ctx,
+        )
+    pref = -q / qpoch_inf_product([q], ctx) ** 2 * A(i2) / B(j1)
+    thetas = theta(A(i1) / A(i2), ctx) * theta(B(j1) / B(j2), ctx)
+    quotient = theta(q * q * A(i1) * A(i2) * z / (B(j1) * B(j2)), ctx) / theta(z, ctx)
+    return pref * num * thetas / den * _weights(p, z, ctx, rows, cols) * quotient
+
+
+def test_cli_connection_computes_each_pochhammer_once(monkeypatch, capsys):
+    calls = _counting_qpoch(monkeypatch)
+    zs = "0.7+0.2j,-0.6+0.3j,1.5+0.5j,-2+1j,0.3-0.8j,3+0.1j,-0.9-0.9j,0.2+0.6j"
+    rc = cli.main(["connection", "--q", "0.5", "--a", "q^0.13,q^0.37,q^0.71",
+                   "--b", "q,q^0.29,q^0.58", "--z", zs])
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rc == 0
+    assert len(rows) == 8 and not any("skipped" in r for r in rows)
+    assert max(r["max_minor_mismatch"] for r in rows) < 1e-8
+    assert 0 < len(calls) <= 31
+
+
+@pytest.mark.parametrize("q", [0.5, 0.5 * cmath.exp(0.5j)])
+def test_memoized_constants_match_plain_formulas(q):
+    ctx = QContext(q)
+    p = HyperParams.from_exponents(ctx, (0.13, 0.37, 0.71), (0.29, 0.58))
+    for z in (0.7 + 0.2j, 0.6 * cmath.exp(2.3j)):  # second point reads the memo
+        for i in (1, 2, 3):
+            for j in (1, 2, 3):
+                ref = _reference_p(p, i, j, ctx)
+                assert abs(pochhammer_coefficient(p, i, j, ctx) - ref) <= 1e-14 * abs(ref)
+        ref = _reference_det(p, z, ctx)
+        assert abs(det_formula(p, z, ctx) - ref) <= 1e-14 * abs(ref)
+        for rows in _PAIRS:
+            for cols in _PAIRS:
+                ref = _reference_minor(p, rows, cols, z, ctx)
+                assert abs(minor_formula(p, rows, cols, z, ctx) - ref) <= 1e-14 * abs(ref)
+
+
+def test_genericity_error_raised_on_every_call(ctx):
+    bad = HyperParams(a=(ctx.qpow(0.3), ctx.qpow(1.3), ctx.qpow(0.7)), b2=ctx.qpow(0.2), b3=ctx.qpow(0.5))
+    z = 0.7 + 0.1j
+    for _ in range(2):
+        with pytest.raises(SpiralCollisionError):
+            core_closed_form(bad, z, ctx)
+        with pytest.raises(SpiralCollisionError):
+            det_formula(bad, z, ctx)
+        with pytest.raises(SpiralCollisionError):
+            minor_formula(bad, (1, 2), (1, 2), z, ctx)
+
+
+def test_constants_are_not_shared_between_equal_instances(monkeypatch, ctx, p):
+    calls = _counting_qpoch(monkeypatch)
+    z = 0.7 + 0.2j
+    core_closed_form(p, z, ctx)
+    first = len(calls)
+    core_closed_form(p, z, ctx)
+    assert len(calls) == first > 0
+    twin = HyperParams(a=p.a, b2=p.b2, b3=p.b3)
+    assert twin == p and hash(twin) == hash(p)
+    core_closed_form(twin, z, ctx)
+    assert len(calls) == 2 * first
+    assert connection.local_pair(twin, ctx) is not connection.local_pair(p, ctx)
