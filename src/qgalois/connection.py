@@ -11,10 +11,18 @@ Every q-Pochhammer factor in these closed forms depends on the parameters
 only, as do the local solutions.  That data is computed once per equation and
 memoized on the HyperParams instance, one record per QContext: the local
 pair, the genericity verdict, the 31 distinct (x;q)_infinity values, the p_ij
-matrix built from them, the determinant prefactor and the z-independent
-factor of each minor.  The record lives as long as the instance, so reuse one
+matrix built from them, the determinant prefactor, the z-independent
+factor of each minor, and the spiral exponents of a and (q, b2, b3) behind
+the twist weights.  The record lives as long as the instance, so reuse one
 instance across evaluation points; an equal but distinct instance computes
 its own.  A computation that raises stores nothing.
+
+The z-dependent side is evaluated over arrays of z by one implementation on
+that record: the twist weights exp(-omega log_q(z) log q) from one log_q call
+over z and 1/z, and the core from one theta call over z and the nine
+q a_i z / b_j.  The closed-form core, the twisted matrix, the determinant and
+minor formulas (all ten at a point from one theta call) and connection_eval
+take their thetas and weights from it; a single point is a batch of one.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .errors import (
     SingularSolutionError,
     SpiralCollisionError,
 )
-from .mat3 import DunfordPair, eig3, minor2
+from .mat3 import DunfordPair, minor2, semisimple_apply
 from .hypersystem import (
     HyperParams,
     LocalData,
@@ -44,7 +52,7 @@ from .hypersystem import (
     local_solution_zero_log,
 )
 from .qseries import qcharacter, qpochhammer_infinite, theta
-from .spiral import g_endomorphism, in_q_spiral
+from .spiral import g_endomorphism, in_q_spiral, log_q
 
 __all__ = [
     "ConnectionEval",
@@ -146,12 +154,16 @@ class _Equation:
         return num, den
 
     @functools.cached_property
-    def p_matrix(self) -> tuple[tuple[complex, ...], ...]:
-        """p_ij as nested rows, 0-based."""
-        return tuple(
-            tuple(pochhammer_coefficient(self.p, i, j, self.ctx) for j in (1, 2, 3))
-            for i in (1, 2, 3)
+    def p_matrix(self) -> np.ndarray:
+        """p_ij as a 3x3 array, 0-based."""
+        return np.array(
+            [[pochhammer_coefficient(self.p, i, j, self.ctx) for j in (1, 2, 3)] for i in (1, 2, 3)]
         )
+
+    @functools.cached_property
+    def exponents(self) -> tuple[np.ndarray, np.ndarray]:
+        """Spiral exponents (alpha_1..3) of a and (beta_1..3) of (q, b2, b3)."""
+        return tuple(np.array(v) for v in self.p.exponents(self.ctx))
 
     @functools.cached_property
     def det_prefactor(self) -> complex:
@@ -184,6 +196,58 @@ class _Equation:
             self.minors[key] = pref * num * thetas / den
         return self.minors[key]
 
+    def weights(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """Row weights (1/z)^(-alpha_i) and column weights z^(-beta_j) of the
+        twisted matrix at z (a complex or an array), each of shape
+        z.shape + (3,).  They are 1/g_{1/z}(a_i) and 1/g_z(b_j), computed as
+        exp(-omega log_q(w) log q) from one log_q at w = 1/z and w = z."""
+        z = np.asarray(z, dtype=complex)
+        logs = -self.ctx.log_q * np.asarray(log_q(np.stack((1.0 / z, z)), self.ctx))
+        alphas, betas = self.exponents
+        return np.exp(logs[0][..., None] * alphas), np.exp(logs[1][..., None] * betas)
+
+    def twisted(self, z, core: np.ndarray) -> np.ndarray:
+        """diag((1/z)^(-alpha)) core diag(z^(-beta)), for cores of shape
+        z.shape + (3, 3)."""
+        rows, cols = self.weights(z)
+        return rows[..., :, None] * core * cols[..., None, :]
+
+    def det_and_minors(self, z: complex, pairs) -> tuple[complex, list[complex]]:
+        """Closed forms at one z of the twisted determinant and of the minors
+        with (rows, cols) in pairs, from one weights and one theta call.
+
+        Each is its z-independent factor, times the weights of its rows and
+        columns, times theta_q(q^2 prod(a) z / prod(b)) / theta_q(z) over the
+        a's of its rows and the b's of its columns.  The genericity check is
+        the caller's."""
+        q = self.ctx.q
+        a, b = self.p.a, self.p.b(self.ctx)
+        wr, wc = self.weights(z)
+        args = [z, q * q * a[0] * a[1] * a[2] * z / (b[1] * b[2])]
+        args += [
+            q * q * a[i1 - 1] * a[i2 - 1] * z / (b[j1 - 1] * b[j2 - 1])
+            for (i1, i2), (j1, j2) in pairs
+        ]
+        th = theta(np.array(args), self.ctx)
+        det = self.det_prefactor * np.prod(wr) * np.prod(wc) * th[1] / th[0]
+        minors = [
+            self.minor_constant(rows, cols)
+            * (wr[rows[0] - 1] * wr[rows[1] - 1] * wc[cols[0] - 1] * wc[cols[1] - 1])
+            * th[k] / th[0]
+            for k, (rows, cols) in enumerate(pairs, start=2)
+        ]
+        return complex(det), [complex(m) for m in minors]
+
+    def core(self, z) -> np.ndarray:
+        """The theta-quotient core p_ij theta_q(q a_i z/b_j)/theta_q(z) at z
+        (a complex or an array), shape z.shape + (3, 3), from one theta call.
+        The genericity check is the caller's."""
+        z = np.asarray(z, dtype=complex)
+        q = self.ctx.q
+        shifts = np.array([q * ai / bj for ai in self.p.a for bj in self.p.b(self.ctx)])
+        th = theta(np.concatenate((z[..., None], z[..., None] * shifts), axis=-1), self.ctx)
+        return self.p_matrix * (th[..., 1:].reshape(z.shape + (3, 3)) / th[..., 0, None, None])
+
 
 def _equation(p: HyperParams, ctx: QContext) -> _Equation:
     """The memo of p at ctx, created on first use and kept on p."""
@@ -212,16 +276,10 @@ def pochhammer_coefficient(p: HyperParams, i: int, j: int, ctx: QContext) -> com
     return math.prod(num) / math.prod(den)
 
 
-def core_closed_form(p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:
-    """The theta-quotient core M with M_ij = p_ij theta_q(q a_i z/b_j)/theta_q(z)."""
-    pm = _generic(p, ctx).p_matrix
-    b = p.b(ctx)
-    tz = theta(z, ctx)
-    out = np.empty((3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            out[i, j] = pm[i][j] * theta(ctx.q * p.a[i] * z / b[j], ctx) / tz
-    return out
+def core_closed_form(p: HyperParams, z, ctx: QContext) -> np.ndarray:
+    """The theta-quotient core M with M_ij = p_ij theta_q(q a_i z/b_j)/theta_q(z);
+    z may be an array, giving shape z.shape + (3, 3)."""
+    return _generic(p, ctx).core(z)
 
 
 def local_pair(p: HyperParams, ctx: QContext) -> tuple[LocalData, LocalData]:
@@ -270,46 +328,29 @@ def twist_factor(D: np.ndarray, z: complex, side: str, ctx: QContext) -> np.ndar
     psi_z(lambda) = e_lambda(z)/g_z(lambda) (via 1/z for the infinity side)."""
     if side not in ("zero", "infinity"):
         raise DomainError("side must be 'zero' or 'infinity'")
-    D = np.asarray(D, dtype=complex)
     w = z if side == "zero" else 1.0 / z
 
     def psi(lam: complex) -> complex:
         mu = lam if side == "zero" else 1.0 / lam
         return qcharacter(mu, w, ctx) / g_endomorphism(w, mu, ctx)
 
-    off = D - np.diag(np.diag(D))
-    if np.max(np.abs(off)) < 1e-13 * max(np.max(np.abs(D)), 1e-300):
-        return np.diag([psi(l) for l in np.diag(D)])
-    jf = eig3(D)
-    S = jf.transform
-    return S @ np.diag([psi(l) for l in jf.eigenvalues]) @ np.linalg.inv(S)
-
-
-def _twist_weights(p: HyperParams, z: complex, ctx: QContext) -> tuple[np.ndarray, np.ndarray]:
-    """Row weights diag((1/z)^(-alpha_i)) and column weights diag(z^(-beta_j)),
-    realized as 1/g_{1/z}(a_i) and 1/g_z(b_j) for arbitrary parameters."""
-    rows = np.diag([1.0 / g_endomorphism(1.0 / z, ai, ctx) for ai in p.a])
-    cols = np.diag([1.0 / g_endomorphism(z, bj, ctx) for bj in p.b(ctx)])
-    return rows, cols
+    return semisimple_apply(D, psi)
 
 
 def twisted_birkhoff(
-    p: HyperParams, z: complex, ctx: QContext, method: str = "closed_form"
+    p: HyperParams, z, ctx: QContext, method: str = "closed_form"
 ) -> np.ndarray:
     """Twisted connection matrix
-    diag((1/z)^(-alpha)) [p_ij theta_q(q a_i z/b_j)/theta_q(z)] diag(z^(-beta))."""
-    rows, cols = _twist_weights(p, z, ctx)
-    return rows @ _core(p, z, ctx, method) @ cols
+    diag((1/z)^(-alpha)) [p_ij theta_q(q a_i z/b_j)/theta_q(z)] diag(z^(-beta)).
+
+    With the closed form, z may be an array: the matrices at all points come
+    from one batched evaluation, with shape z.shape + (3, 3)."""
+    return _equation(p, ctx).twisted(z, _core(p, z, ctx, method))
 
 
 def det_formula(p: HyperParams, z: complex, ctx: QContext) -> complex:
     """Closed form of det of the twisted connection matrix."""
-    pref = _generic(p, ctx).det_prefactor
-    q = ctx.q
-    a1, a2, a3 = p.a
-    rows, cols = _twist_weights(p, z, ctx)
-    powers = np.prod(np.diag(rows)) * np.prod(np.diag(cols))
-    return pref * powers * theta(q * q * a1 * a2 * a3 * z / (p.b2 * p.b3), ctx) / theta(z, ctx)
+    return _generic(p, ctx).det_and_minors(z, ())[0]
 
 
 def minor_formula(
@@ -324,20 +365,7 @@ def minor_formula(
     for pair in (rows, cols):
         if pair[0] == pair[1] or not all(k in (1, 2, 3) for k in pair):
             raise DomainError(f"bad index pair {pair}")
-    q = ctx.q
-    a = p.a
-    b = p.b(ctx)
-    (i1, i2), (j1, j2) = rows, cols
-    powers = 1.0
-    for i in (i1, i2):
-        powers /= g_endomorphism(1.0 / z, a[i - 1], ctx)
-    for j in (j1, j2):
-        powers /= g_endomorphism(z, b[j - 1], ctx)
-    quotient = (
-        theta(q * q * a[i1 - 1] * a[i2 - 1] * z / (b[j1 - 1] * b[j2 - 1]), ctx)
-        / theta(z, ctx)
-    )
-    return eq.minor_constant(rows, cols) * powers * quotient
+    return eq.det_and_minors(z, [(rows, cols)])[1][0]
 
 
 @dataclass(frozen=True)
@@ -351,16 +379,19 @@ class DetMinorCheck:
     max_minor_mismatch: float
 
 
+_PAIRS = ((1, 2), (1, 3), (2, 3))
+
+
 def check_det_minors(p: HyperParams, B: np.ndarray, z: complex, ctx: QContext) -> DetMinorCheck:
-    """Check the twisted matrix B at z against det_formula and all nine
-    minor_formula values."""
+    """Check the twisted matrix B at z against the closed forms of its
+    determinant and all nine minors (det_formula and minor_formula, here from
+    one evaluation)."""
     det_n = complex(np.linalg.det(B))
-    det_c = det_formula(p, z, ctx)
+    pairs = [(rows, cols) for rows in _PAIRS for cols in _PAIRS]
+    det_c, minors = _generic(p, ctx).det_and_minors(z, pairs)
     worst = 0.0
-    for rows in ((1, 2), (1, 3), (2, 3)):
-        for cols in ((1, 2), (1, 3), (2, 3)):
-            mf = minor_formula(p, rows, cols, z, ctx)
-            worst = max(worst, abs(minor2(B, rows, cols) - mf) / max(abs(mf), 1e-300))
+    for (rows, cols), mf in zip(pairs, minors):
+        worst = max(worst, abs(minor2(B, rows, cols) - mf) / max(abs(mf), 1e-300))
     return DetMinorCheck(
         det_numeric=det_n,
         det_closed_form=det_c,
@@ -381,8 +412,9 @@ def connection_logarithmic(p: HyperParams, z: complex, ctx: QContext) -> np.ndar
     if not (loc0.logarithmic or locinf.logarithmic):
         raise DomainError("parameters are not in a logarithmic case")
     core = core_numeric(p, z, ctx)
+    rows, cols = _equation(p, ctx).weights(z)
     # left: psi_infinity(D_inf) e_inf^{-1} = diag(1/g_{1/z}(a_i)) * (e_U^inf)^{-1}
-    wrow = np.diag([1.0 / g_endomorphism(1.0 / z, ai, ctx) for ai in p.a])
+    wrow = np.diag(rows)
     Uinf = locinf.dunford.U
     if np.max(np.abs(Uinf - np.eye(3))) > 1e-13:
         eu = e_matrix(DunfordPair(D=np.eye(3, dtype=complex), U=Uinf), z, "infinity", ctx)
@@ -394,7 +426,7 @@ def connection_logarithmic(p: HyperParams, z: complex, ctx: QContext) -> np.ndar
     if np.max(np.abs(U0 - np.eye(3))) > 1e-13:
         right = e_matrix(DunfordPair(D=np.eye(3, dtype=complex), U=U0), z, "zero", ctx)
     else:
-        _, right = _twist_weights(p, z, ctx)
+        right = np.diag(cols)
     return left @ core @ right
 
 
@@ -412,11 +444,10 @@ def connection_eval(
     res = None
     if method == "both":
         res = float(np.max(np.abs(Pn - P)) / max(np.max(np.abs(P)), 1e-300))
-    rows, cols = _twist_weights(p, z, ctx)
     return ConnectionEval(
         z=z,
         P=P,
-        P_twisted=rows @ core @ cols,
+        P_twisted=_equation(p, ctx).twisted(z, core),
         method=method,
         residual_cross=res,
     )

@@ -6,6 +6,14 @@ The classifier is descriptor-level: the group is never computed as a variety.
 The GL3 / extended-SL3 branch is a pure arithmetic condition on the parameter
 spirals; the generator matrices and the obstruction residual are numerical
 corroboration, reported alongside.
+
+Both come from the twisted connection matrix at one sample set, built once
+per classification: the base point, the circle samples of the connection
+component and the two points beside the zero spiral of the obstruction
+relation.  The matrices at all of them are evaluated once, in one batch in
+case (i) and one ladder evaluation per point in cases (iii)/(iv), and feed
+both the generators and the obstruction fit.  Sample points are ranked by
+their clearance from the singular spirals, scanned as arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from .errors import (
     QGaloisError,
 )
 from .hypersystem import HyperParams, check_fuchsian_nonresonant
-from .spiral import decompose, gamma1, gamma2, in_q_spiral
+from .spiral import decompose, gamma1, gamma2, in_q_spiral, spiral_clearance
 from . import connection
 
 __all__ = [
@@ -187,10 +195,15 @@ def classify_case(p: HyperParams, ctx: QContext) -> str:
     return "ii"  # one merged a-pair: handled as the merged-pair case (ii)
 
 
-def _twisted_eval(p: HyperParams, case: str, z: complex, ctx: QContext) -> np.ndarray:
+def _twisted_matrices(
+    p: HyperParams, case: str, zs: Sequence[complex], ctx: QContext
+) -> np.ndarray:
+    """Twisted connection matrices at the points zs, shape (len(zs), 3, 3):
+    one batched closed-form evaluation, or one ladder evaluation per point in
+    the logarithmic cases."""
     if case in ("iii", "iv"):
-        return connection.connection_logarithmic(p, z, ctx)
-    return connection.twisted_birkhoff(p, z, ctx, "closed_form")
+        return np.array([connection.connection_logarithmic(p, z, ctx) for z in zs])
+    return connection.twisted_birkhoff(p, np.asarray(zs, dtype=complex), ctx, "closed_form")
 
 
 def _det_zero_anchor(p: HyperParams, ctx: QContext) -> complex:
@@ -199,44 +212,31 @@ def _det_zero_anchor(p: HyperParams, ctx: QContext) -> complex:
     return p.b2 * p.b3 / (ctx.q ** 2 * a1 * a2 * a3)
 
 
-def _spiral_clearance(z: complex, anchors: Sequence[complex], ctx: QContext) -> float:
-    """Smallest relative distance from z to the discrete spirals anchor * q^Z."""
-    return min(in_q_spiral(z / c, ctx).distance for c in anchors)
-
-
-def _singular_anchors(p: HyperParams, ctx: QContext) -> list[complex]:
-    # poles of the twisted matrix sit on q^Z (the theta(z) denominators);
-    # zeros of its determinant on the anchor spiral
-    return [1.0 + 0j, _det_zero_anchor(p, ctx)]
+def _clearance(p: HyperParams, zs, ctx: QContext):
+    """Relative distance of each z from the nearer singular spiral of the
+    twisted matrix: its poles on q^Z (the theta(z) denominators) and the zeros
+    of its determinant on the anchor spiral."""
+    zs = np.asarray(zs, dtype=complex)
+    return np.minimum(spiral_clearance(zs, ctx), spiral_clearance(zs / _det_zero_anchor(p, ctx), ctx))
 
 
 def base_point(p: HyperParams, ctx: QContext, n_scan: int = 64) -> complex:
     """Base point on |z| = |q|^(1/2) maximizing clearance from the pole
     spiral q^Z and the determinant-zero spiral."""
-    anchors = _singular_anchors(p, ctx)
-    r = abs(ctx.q) ** 0.5
-    best, best_d = None, -1.0
-    for k in range(n_scan):
-        z = r * cmath.exp(2j * math.pi * (k + 0.5) / n_scan)
-        d = _spiral_clearance(z, anchors, ctx)
-        if d > best_d:
-            best, best_d = z, d
-    return best
+    zs = abs(ctx.q) ** 0.5 * np.exp(2j * math.pi * (np.arange(n_scan) + 0.5) / n_scan)
+    return complex(zs[np.argmax(_clearance(p, zs, ctx))])
 
 
 def omega_samples(p: HyperParams, ctx: QContext, per_circle: int = 8) -> list[complex]:
     """Sample points for the connection component: per_circle points on each of
     the circles |z| = |q|^0.4 and |z| = |q|^0.6, angles chosen for clearance
     from the singular spirals."""
-    anchors = _singular_anchors(p, ctx)
     out: list[complex] = []
+    angles = 2j * math.pi * (np.arange(4 * per_circle) + 0.37) / (4 * per_circle)
     for expo in (0.4, 0.6):
-        r = abs(ctx.q) ** expo
-        ranked = sorted(
-            (r * cmath.exp(2j * math.pi * (k + 0.37) / (4 * per_circle)) for k in range(4 * per_circle)),
-            key=lambda z: -_spiral_clearance(z, anchors, ctx),
-        )
-        out.extend(ranked[:per_circle])
+        zs = abs(ctx.q) ** expo * np.exp(angles)
+        ranked = np.argsort(-_clearance(p, zs, ctx), kind="stable")
+        out.extend(complex(z) for z in zs[ranked[:per_circle]])
     return out
 
 
@@ -260,6 +260,45 @@ def _local_unipotents(p: HyperParams, case: str, ctx: QContext) -> tuple[np.ndar
     return u0, ui
 
 
+def _local_generators(p: HyperParams, case: str, ctx: QContext) -> list[tuple[str, np.ndarray]]:
+    """Generators 1.a, 1.a' and 1.b: the local data at 0."""
+    b = p.b(ctx)
+    return [
+        ("1.a", _diag([gamma2(bj, ctx) for bj in b])),
+        ("1.a'", _diag([gamma1(bj, ctx) for bj in b])),
+        ("1.b", _local_unipotents(p, case, ctx)[0]),
+    ]
+
+
+def _check_base_point(p: HyperParams, y0: complex, ctx: QContext) -> None:
+    if _clearance(p, y0, ctx) < 10.0 * ctx.eps_spiral:
+        raise BasePointSingularError(f"base point {y0} is on a singular spiral")
+
+
+def _connection_generators(
+    p: HyperParams, case: str, y0: complex, mats: np.ndarray, ctx: QContext
+) -> list[tuple[str, np.ndarray]]:
+    """Generators 2.a, 2.a', 2.b and 3.k from the twisted matrices at the base
+    point y0 (mats[0]) and at the connection samples (mats[1:])."""
+    P0 = mats[0]
+    if abs(np.linalg.det(P0)) < 1e-10 * max(np.linalg.norm(P0), 1e-300) ** 3:
+        raise BasePointSingularError(f"twisted matrix numerically singular at {y0}")
+
+    def conj(M: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(P0, M @ P0)
+
+    ui = _local_unipotents(p, case, ctx)[1]
+    out = [
+        ("2.a", conj(_diag([gamma2(ai, ctx) for ai in p.a]))),
+        ("2.a'", conj(_diag([gamma1(ai, ctx) for ai in p.a]))),
+        ("2.b", conj(ui)),
+    ]
+    if len(mats) > 1:
+        samples = np.linalg.solve(P0, mats[1:])
+        out.extend((f"3.{k}", M) for k, M in enumerate(samples))
+    return out
+
+
 def generators(
     p: HyperParams,
     y0: complex,
@@ -277,31 +316,12 @@ def generators(
     construction there and the classification does not need it).
     """
     case = classify_case(p, ctx)
-    b = p.b(ctx)
-    out: list[tuple[str, np.ndarray]] = [
-        ("1.a", _diag([gamma2(bj, ctx) for bj in b])),
-        ("1.a'", _diag([gamma1(bj, ctx) for bj in b])),
-    ]
-    u0, ui = _local_unipotents(p, case, ctx)
-    out.append(("1.b", u0))
+    out = _local_generators(p, case, ctx)
     if case == "ii":
         return out
-    anchors = _singular_anchors(p, ctx)
-    if _spiral_clearance(y0, anchors, ctx) < 10.0 * ctx.eps_spiral:
-        raise BasePointSingularError(f"base point {y0} is on a singular spiral")
-    P0 = _twisted_eval(p, case, y0, ctx)
-    if abs(np.linalg.det(P0)) < 1e-10 * max(np.linalg.norm(P0), 1e-300) ** 3:
-        raise BasePointSingularError(f"twisted matrix numerically singular at {y0}")
-
-    def conj(M: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(P0, M @ P0)
-
-    out.append(("2.a", conj(_diag([gamma2(ai, ctx) for ai in p.a]))))
-    out.append(("2.a'", conj(_diag([gamma1(ai, ctx) for ai in p.a]))))
-    out.append(("2.b", conj(ui)))
-    for k, z in enumerate(zs):
-        out.append((f"3.{k}", np.linalg.solve(P0, _twisted_eval(p, case, z, ctx))))
-    return out
+    _check_base_point(p, y0, ctx)
+    mats = _twisted_matrices(p, case, [y0, *zs], ctx)
+    return out + _connection_generators(p, case, y0, mats, ctx)
 
 
 def fit_relation_residual(
@@ -319,38 +339,33 @@ def fit_relation_residual(
     return c, float(np.max(np.abs(L - c * R))) / scale
 
 
-def obstruction_samples(p: HyperParams, ctx: QContext) -> list[complex]:
-    """Sample set for the obstruction fit: the connection-component circle
-    samples plus points adjacent to the spiral where the relation's left side
+def _relation_zero_points(p: HyperParams, case: str, ctx: QContext) -> list[complex]:
+    """Two points beside the spiral where the obstruction relation's left side
     vanishes (qa_1/b_2 q^Z for distinct b; 1/a_i q^Z in the merged cases)."""
-    case = classify_case(p, ctx)
-    zs = omega_samples(p, ctx)
     if case == "i":
         anchor = p.b2 / (ctx.q * p.a[0])
     else:
         anchor = 1.0 / p.a[0]
     sp = decompose(anchor, ctx)
-    for offset in (1e-3, -1e-3):
-        # land on the anchor spiral inside the working annulus, then nudge off
-        w = sp.omega - math.floor(sp.omega - 0.35)
-        z = sp.u * ctx.qpow(w) * (1.0 + offset)
-        zs.append(z)
-    return zs
+    # land on the anchor spiral inside the working annulus, then nudge off
+    w = sp.omega - math.floor(sp.omega - 0.35)
+    return [sp.u * ctx.qpow(w) * (1.0 + offset) for offset in (1e-3, -1e-3)]
 
 
-def _obstruction_rows(
-    p: HyperParams, case: str, zs: Sequence[complex], ctx: QContext
-) -> tuple[list[complex], list[complex]]:
-    """Per-sample (lhs, rhs) of the degree-2 entry relation a PSl2-conjugate
-    twisted matrix would satisfy: entry2^2 = c * entry1 * entry3 along the
-    relevant row (row 1 generically, row 3 in the doubly merged case)."""
+def obstruction_samples(p: HyperParams, ctx: QContext) -> list[complex]:
+    """Sample set for the obstruction fit: the connection-component circle
+    samples plus points adjacent to the spiral where the relation's left side
+    vanishes (qa_1/b_2 q^Z for distinct b; 1/a_i q^Z in the merged cases)."""
+    return omega_samples(p, ctx) + _relation_zero_points(p, classify_case(p, ctx), ctx)
+
+
+def _relation_residual(case: str, mats: np.ndarray) -> float:
+    """Misfit of the degree-2 entry relation a PSl2-conjugate twisted matrix
+    would satisfy over the matrices mats: entry2^2 = c * entry1 * entry3 along
+    the relevant row (row 1 generically, row 3 in the doubly merged case)."""
     row = 2 if case == "iv" else 0
-    lhs, rhs = [], []
-    for z in zs:
-        M = _twisted_eval(p, case, z, ctx)
-        lhs.append(complex(M[row, 1] ** 2))
-        rhs.append(complex(M[row, 0] * M[row, 2]))
-    return lhs, rhs
+    _, residual = fit_relation_residual(mats[:, row, 1] ** 2, mats[:, row, 0] * mats[:, row, 2])
+    return residual
 
 
 def pgl2_obstruction(p: HyperParams, zs: Sequence[complex], ctx: QContext) -> float:
@@ -366,9 +381,7 @@ def pgl2_obstruction(p: HyperParams, zs: Sequence[complex], ctx: QContext) -> fl
     case = classify_case(p, ctx)
     if case == "ii":
         raise DomainError("no twisted-matrix construction for the merged-b case")
-    lhs, rhs = _obstruction_rows(p, case, zs, ctx)
-    _, residual = fit_relation_residual(lhs, rhs)
-    return residual
+    return _relation_residual(case, _twisted_matrices(p, case, zs, ctx))
 
 
 def _rational_part(x: float) -> Fraction | None:
@@ -437,14 +450,19 @@ def classify(p: HyperParams, ctx: QContext) -> GaloisReport:
     residual: float | None = None
     if case != "ii":
         try:
+            # one sample set: base point, circle samples, relation-zero points
             y0 = base_point(pn, ctx)
             zs = omega_samples(pn, ctx)
-            gens = tuple(generators(pn, y0, zs, ctx))
-            residual = pgl2_obstruction(pn, obstruction_samples(pn, ctx), ctx)
+            _check_base_point(pn, y0, ctx)
+            points = [y0, *zs, *_relation_zero_points(pn, case, ctx)]
+            mats = _twisted_matrices(pn, case, points, ctx)
+            connection_gens = _connection_generators(pn, case, y0, mats[: len(zs) + 1], ctx)
+            gens = tuple(_local_generators(pn, case, ctx) + connection_gens)
+            residual = _relation_residual(case, mats[1:])
         except QGaloisError as exc:
             notes.append(f"connection data unavailable: {exc}")
     else:
-        gens = tuple(generators(pn, 1.0, [], ctx))
+        gens = tuple(_local_generators(pn, case, ctx))
         notes.append("merged-b case: local generators at 0 only")
 
     ratio = pn.a[0] * pn.a[1] * pn.a[2] / (pn.b2 * pn.b3)

@@ -26,7 +26,7 @@ from .errors import (
     PoleError,
     ResonantError,
 )
-from .mat3 import DunfordPair, dunford, eig3
+from .mat3 import DunfordPair, dunford, semisimple_apply
 from .qseries import lq, qcharacter, qhyper_series
 from .spiral import decompose, in_q_spiral
 
@@ -299,22 +299,7 @@ def e_matrix(J, z: complex, side: str, ctx: QContext) -> np.ndarray:
     D, U = dp.D, dp.U
 
     w = z if side == "zero" else 1.0 / z
-    off = D - np.diag(np.diag(D))
-    if np.max(np.abs(off)) < 1e-13 * max(np.max(np.abs(D)), 1e-300):
-        lams = np.diag(D)
-        if side == "zero":
-            eD = np.diag([qcharacter(l, w, ctx) for l in lams])
-        else:
-            eD = np.diag([qcharacter(1.0 / l, w, ctx) for l in lams])
-    else:
-        jf = eig3(D)
-        S = jf.transform
-        lams = jf.eigenvalues
-        if side == "zero":
-            diag = [qcharacter(l, w, ctx) for l in lams]
-        else:
-            diag = [qcharacter(1.0 / l, w, ctx) for l in lams]
-        eD = S @ np.diag(diag) @ np.linalg.inv(S)
+    eD = semisimple_apply(D, lambda lam: qcharacter(lam if side == "zero" else 1.0 / lam, w, ctx))
 
     N = U - np.eye(3, dtype=complex)
     if np.max(np.abs(N)) < 1e-14:

@@ -23,6 +23,7 @@ __all__ = [
     "DunfordPair",
     "eig3",
     "dunford",
+    "semisimple_apply",
     "rho",
     "psl2_relation_residual",
     "psl2_eigenvalue_check",
@@ -178,7 +179,6 @@ def eig3(M: np.ndarray, tol: float = 1e-8) -> JordanForm:
         raise IllConditionedError("generalized eigenvector matrix is numerically singular")
     J = np.zeros((3, 3), dtype=complex)
     pos = 0
-    k = 0
     out_sizes: list[int] = []
     for s in sizes:
         for r in range(s):
@@ -187,7 +187,6 @@ def eig3(M: np.ndarray, tol: float = 1e-8) -> JordanForm:
                 J[pos + r - 1, pos + r] = 1.0
         out_sizes.append(s)
         pos += s
-        k += 1
     return JordanForm(
         eigenvalues=np.array(eigs),
         transform=P,
@@ -211,6 +210,18 @@ def dunford(M: np.ndarray, tol: float = 1e-8) -> DunfordPair:
     # inv(Lam) @ J is exactly unit upper triangular, so U is exactly unipotent
     U = P @ (np.diag(1.0 / jf.eigenvalues) @ jf.jordan) @ Pinv
     return DunfordPair(D=D, U=U)
+
+
+def semisimple_apply(D: np.ndarray, f) -> np.ndarray:
+    """f(D) for a semi-simple 3x3 D: f applied to each eigenvalue, taken off
+    the diagonal when D is diagonal and in the eig3 eigenbasis otherwise."""
+    D = np.asarray(D, dtype=complex)
+    off = D - np.diag(np.diag(D))
+    if np.max(np.abs(off)) < 1e-13 * max(np.max(np.abs(D)), 1e-300):
+        return np.diag([f(lam) for lam in np.diag(D)])
+    jf = eig3(D)
+    S = jf.transform
+    return S @ np.diag([f(lam) for lam in jf.eigenvalues]) @ np.linalg.inv(S)
 
 
 def rho(N: np.ndarray) -> np.ndarray:

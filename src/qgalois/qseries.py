@@ -1,17 +1,21 @@
-"""Scalar q-analytic primitives: Pochhammer symbols, Jacobi theta, q-characters,
+"""q-analytic primitives: Pochhammer symbols, Jacobi theta, q-characters,
 the q-logarithm, and the 3phi2 basic hypergeometric series.
 
 All evaluations are error-bounded: truncated series/products stop once a
 geometric tail bound drops below ctx.eps_trunc, with a hard cap of ctx.n_max
 terms, and the series-valued operations return a TruncationReport alongside
-the value.
+the value.  theta also takes an array of z; its series has one truncation
+order per context, so every element gets the same arithmetic as a scalar.
 """
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
+import sys
 from typing import Sequence
+
+import numpy as np
 
 from .context import QContext, TruncationReport
 from .errors import (
@@ -36,6 +40,8 @@ __all__ = [
     "phi3_2",
     "qhyper_series",
 ]
+
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def qpochhammer_finite(a: complex, ctx: QContext, n: int) -> complex:
@@ -77,96 +83,113 @@ def qpoch_inf_product(values: Sequence[complex], ctx: QContext) -> complex:
     return out
 
 
-def _theta_jet_series(z: complex, ctx: QContext) -> tuple[complex, complex, complex]:
-    """(theta, theta', theta'') at z via the bilateral series
-    sum_n (-1)^n q^(n(n-1)/2) z^n, for z in the core annulus."""
-    q = ctx.q
-    s0 = 1.0 + 0j  # n = 0 term
-    s1 = 0j
-    s2 = 0j
-    peak = 1.0
-    # upward: t(n+1) = t(n) * (-q^n z)
-    t = 1.0 + 0j
-    qn = 1.0 + 0j
-    n = 0
-    while True:
-        t *= -qn * z
-        qn *= q
+@functools.lru_cache(maxsize=16)
+def _theta_plan(ctx: QContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The z-independent part of the bilateral theta series at ctx: the step
+    factors -q^(n-1) (upward) and -q^n (downward) for n = 1..N as columns, and
+    the weights 1, n and n(n-1) of the derivative sums, shape (3, 2N + 1, 1),
+    for the terms in summation order n = 0, 1, ..., N, -1, ..., -N.
+
+    N is the smallest n with |q|^(n(n-2)/2) (1 + n^2) < eps_trunc.  On the
+    core annulus |q|^(1/2) <= |w| <= |q|^(-1/2) this bounds the last term in
+    both directions, and the n- and n^2-weighted terms of the derivative
+    series.  The arrays are read-only.
+    """
+    lq = -math.log(abs(ctx.q))
+    n = 1
+    while 0.5 * n * (n - 2) * lq < math.log((1.0 + n * n) / ctx.eps_trunc):
         n += 1
-        s0 += t
-        s1 += t * n / z
-        s2 += t * n * (n - 1) / (z * z)
-        peak = max(peak, abs(t))
-        if abs(t) * (1.0 + n * n) < ctx.eps_trunc * peak:
-            break
         if n > ctx.n_max:
             raise NonConvergentError("theta series did not converge")
-    # downward: t(n-1) = t(n) * (-q^(1-n) / z)
-    t = 1.0 + 0j
-    qm = q  # q^(1-n) at n = 0
-    n = 0
-    while True:
-        t *= -qm / z
-        qm *= q
-        n -= 1
-        s0 += t
-        s1 += t * n / z
-        s2 += t * n * (n - 1) / (z * z)
-        peak = max(peak, abs(t))
-        if abs(t) * (1.0 + n * n) < ctx.eps_trunc * peak:
-            break
-        if -n > ctx.n_max:
-            raise NonConvergentError("theta series did not converge")
-    return s0, s1, s2
+    qpow = np.cumprod(np.full(n, ctx.q, dtype=complex))  # q, ..., q^N
+    up = -np.concatenate(([1.0], qpow[:-1]))[:, None]
+    down = -qpow[:, None]
+    index = np.arange(n + 1, dtype=float)
+    index = np.concatenate((index, -index[1:]))[:, None]
+    moments = np.stack((np.ones_like(index), index, index * (index - 1.0)))
+    for arr in (up, down, moments):
+        arr.flags.writeable = False
+    return up, down, moments
+
+
+def _theta_terms(w: np.ndarray, ctx: QContext) -> tuple[np.ndarray, np.ndarray]:
+    """Terms (-1)^n q^(n(n-1)/2) w^n of the bilateral series for a 1-d array
+    w on the core annulus, one row per n in summation order, and the
+    derivative weights of _theta_plan.  Each term is the previous one times
+    its step factor."""
+    up, down, moments = _theta_plan(ctx)
+    n = len(up)
+    terms = np.empty((2 * n + 1, w.size), dtype=complex)
+    terms[0] = 1.0
+    np.multiply.accumulate(up * w, axis=0, out=terms[1 : n + 1])
+    np.multiply.accumulate(down / w, axis=0, out=terms[n + 1 :])
+    return terms, moments
+
+
+def _theta_shift(z: np.ndarray, ctx: QContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k, w, f) for a 1-d array z: z = q^k w with k = round(log|z| / log|q|),
+    so that w lies on the core annulus, and f = (-1)^k q^(-k(k-1)/2) w^(-k),
+    the factor in theta(q^k w) = f theta(w).  Raises DomainError at z = 0 and
+    where f overflows."""
+    if not z.all():
+        raise DomainError("theta undefined at z = 0")
+    lnq = ctx.log_q
+    log_z = np.log(z)
+    k = np.rint(log_z.real / lnq.real)
+    log_w = log_z - k * lnq
+    # (-1)^k w^(-k) = exp(-k (log w + i pi)) for integer k
+    expo = k * ((-0.5 * lnq) * (k - 1.0) - log_w - 1j * math.pi)
+    if (expo.real > _LOG_MAX).any():
+        raise DomainError(f"theta leaves double range at z = {z[expo.real > _LOG_MAX][0]}")
+    return k, np.exp(log_w), np.exp(expo)
+
+
+def _checked(values: np.ndarray, z) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise DomainError(f"theta leaves double range at z = {z}")
+    return values
+
+
+def theta(z, ctx: QContext):
+    """Jacobi theta theta_q(z) = (q;q)_inf (z;q)_inf (q/z;q)_inf, at a complex
+    z or elementwise over an array (same shape back).
+
+    Satisfies theta_q(qz) = -theta_q(z)/z; simple zeros exactly on q^Z.  Each
+    z is mapped to the core annulus with the functional equation in closed
+    form, where the bilateral series is summed to a truncation order fixed by
+    ctx.eps_trunc.  Raises DomainError at z = 0 and where the value leaves
+    double range.
+    """
+    z = np.asarray(z, dtype=complex)
+    _, w, f = _theta_shift(z.reshape(-1), ctx)
+    terms, _ = _theta_terms(w, ctx)
+    out = _checked(f * np.add.accumulate(terms, axis=0)[-1], z)
+    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
 def _theta_jet(z: complex, ctx: QContext) -> tuple[complex, complex, complex]:
-    """(theta, theta', theta'') at any z != 0.
-
-    The bilateral series is used on the annulus |q|^(1/2) <= |z| <= |q|^(-1/2)
-    where it converges fastest; outside, z is shifted into the annulus with the
-    functional equation theta(qz) = -theta(z)/z, whose derivative recurrences
-    propagate the jet without overflow.
-    """
-    if z == 0:
-        raise DomainError("theta undefined at z = 0")
-    q = ctx.q
-    absq = abs(q)
-    lo = math.sqrt(absq)
-    hi = 1.0 / lo
-    az = abs(z)
-    if az > hi * (1.0 + 1e-15):
-        # theta(z) = -z * theta(qz)
-        t0, t1, t2 = _theta_jet(q * z, ctx)
-        v0 = -z * t0
-        v1 = -t0 - z * q * t1
-        v2 = -2.0 * q * t1 - z * q * q * t2
-        return v0, v1, v2
-    if az < lo * (1.0 - 1e-15):
-        # theta(z) = -(q/z) * theta(z/q)
-        t0, t1, t2 = _theta_jet(z / q, ctx)
-        v0 = -(q / z) * t0
-        v1 = (q / (z * z)) * t0 - t1 / z
-        v2 = -2.0 * q / (z ** 3) * t0 + 2.0 / (z * z) * t1 - t2 / (q * z)
-        return v0, v1, v2
-    return _theta_jet_series(z, ctx)
-
-
-def theta(z: complex, ctx: QContext) -> complex:
-    """Jacobi theta theta_q(z) = (q;q)_inf (z;q)_inf (q/z;q)_inf.
-
-    Satisfies theta_q(qz) = -theta_q(z)/z; simple zeros exactly on q^Z.
-    """
-    return _theta_jet(z, ctx)[0]
+    """(theta, theta', theta'') at one z != 0: the series on the core annulus
+    and its derivatives, carried to z by differentiating
+    theta(z) = f(z) theta(z q^-k) with f(z) = (-1)^k q^(k(k+1)/2) z^-k."""
+    k, w, f = _theta_shift(np.array([z], dtype=complex), ctx)
+    terms, moments = _theta_terms(w, ctx)
+    # s_j = w^j times the j-th derivative of the series at w
+    s0, s1, s2 = np.add.accumulate(moments * terms, axis=1)[:, -1]
+    jet = np.array([
+        f * s0,
+        f * (s1 - k * s0) / z,
+        f * (s2 - 2.0 * k * s1 + k * (k + 1.0) * s0) / z / z,
+    ])
+    return tuple(complex(v) for v in _checked(jet, z)[:, 0])
 
 
 def theta_d1(z: complex, ctx: QContext) -> complex:
-    """First derivative of theta_q."""
+    """First derivative of theta_q; DomainError where it leaves double range."""
     return _theta_jet(z, ctx)[1]
 
 
 def theta_d2(z: complex, ctx: QContext) -> complex:
-    """Second derivative of theta_q."""
+    """Second derivative of theta_q; DomainError where it leaves double range."""
     return _theta_jet(z, ctx)[2]
 
 
@@ -213,11 +236,14 @@ def qcharacter(lam: complex, z: complex, ctx: QContext) -> complex:
         raise PoleError(
             f"qcharacter pole: lam*z within {pole.distance:.2e} of q^{pole.k}"
         )
-    return prefac * theta(z, ctx) / theta(lam * z, ctx)
+    th = theta(np.array([z, lam * z]), ctx)
+    return prefac * complex(th[0] / th[1])
 
 
 def lq(z: complex, ctx: QContext) -> complex:
-    """q-logarithm l_q(z) = -z * theta'_q(z)/theta_q(z); l_q(qz) = l_q(z) + 1."""
+    """q-logarithm l_q(z) = -z * theta'_q(z)/theta_q(z); l_q(qz) = l_q(z) + 1.
+
+    Raises DomainError where theta or theta' leaves double range."""
     if z == 0:
         raise DomainError("lq undefined at z = 0")
     zero = in_q_spiral(z, ctx)

@@ -2,7 +2,8 @@
 
 Every nonzero complex number factors uniquely as c = u * q^omega with |u| = 1
 and omega real.  This module provides that decomposition, the discrete-spiral
-membership test c in q^Z, the branch-fixed logarithm log_q, the twisting
+membership test c in q^Z, the clearance of c from q^Z, the branch-fixed
+logarithm log_q (the last two also elementwise over arrays), the twisting
 endomorphism g_z (the unique continuous endomorphism of C* killing U and
 sending q to z), and the two projections gamma1, gamma2 used for local
 Galois generators.
@@ -14,6 +15,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .context import QContext
 from .errors import DomainError
@@ -55,19 +58,41 @@ def in_q_spiral(c: complex, ctx: QContext) -> SpiralVerdict:
     return SpiralVerdict(distance < ctx.eps_spiral, k, distance)
 
 
-def log_q(c: complex, ctx: QContext) -> complex:
-    """A logarithm base q: q^(log_q c) = c.
+def log_q(c, ctx: QContext):
+    """A logarithm base q: q^(log_q c) = c, at a complex c or elementwise over
+    an array (same shape back).
 
     Branch: with c = u * q^omega, the phase t = arg(u)/(2*pi) is taken in
     [0, 1), so the discontinuity sits on the spiral q^R approached
     counterclockwise (for real q in (0,1): the positive real axis approached
     from below).  The value is omega + 2*pi*i*t / log q.
     """
-    sp = decompose(c, ctx)
-    t = cmath.phase(sp.u) / (2.0 * math.pi)
-    if t < 0.0:
-        t += 1.0
-    return sp.omega + (2j * math.pi * t) / ctx.log_q
+    c = np.asarray(c, dtype=complex)
+    if not c.all():
+        raise DomainError("cannot decompose 0")
+    lnq = ctx.log_q
+    omega = np.log(np.abs(c)) / lnq.real
+    t = np.angle(c / np.exp(omega * lnq)) / (2.0 * math.pi)
+    out = omega + (2j * math.pi / lnq) * np.where(t < 0.0, t + 1.0, t)
+    return complex(out) if out.ndim == 0 else out
+
+
+def spiral_clearance(c, ctx: QContext):
+    """Relative distance from c to the discrete spiral q^Z, at a complex c or
+    elementwise over an array (same shape back).
+
+    With c = u * q^omega this is the smaller of |c - q^k| / |q^k| for
+    k = floor(omega) and k = ceil(omega).  It equals the minimum over all
+    integers k wherever either is below 1 - |q|: every other q^k lies at least
+    that far away.
+    """
+    c = np.asarray(c, dtype=complex)
+    lnq = ctx.log_q
+    k = np.floor(np.log(np.abs(c)) / lnq.real)
+    below = np.abs(c * np.exp(-k * lnq) - 1.0)
+    above = np.abs(c * np.exp(-(k + 1.0) * lnq) - 1.0)
+    out = np.minimum(below, above)
+    return float(out) if out.ndim == 0 else out
 
 
 def g_endomorphism(z: complex, lam: complex, ctx: QContext) -> complex:

@@ -24,6 +24,7 @@ from qgalois import (
     rho,
     twisted_birkhoff,
 )
+from qgalois import connection, galois
 from qgalois.galois import obstruction_samples
 
 
@@ -219,3 +220,60 @@ def test_classify_shift_invariance(ctx, rng):
         )
         r1, r2 = classify(p, ctx), classify(shifted, ctx)
         assert r1.classification == r2.classification
+
+
+def _case_params(ctx, case):
+    q = ctx.q
+    if case == "i":
+        return HyperParams.from_exponents(ctx, (0.1, 0.2, 0.4), (0.15, 0.33))
+    if case == "iii":
+        return HyperParams(a=(ctx.qpow(0.13), ctx.qpow(0.37), ctx.qpow(0.71)), b2=q, b3=q)
+    a = ctx.qpow(0.3)
+    return HyperParams(a=(a, a, a), b2=q, b3=q)
+
+
+def test_classify_case_iii_evaluates_each_sample_once(ctx, monkeypatch):
+    real = connection.connection_logarithmic
+    calls = []
+
+    def counting(p, z, ctx):
+        calls.append(z)
+        return real(p, z, ctx)
+
+    monkeypatch.setattr(connection, "connection_logarithmic", counting)
+    report = classify(_case_params(ctx, "iii"), ctx)
+    assert report.lie_case == "iii" and report.obstruction_residual is not None
+    # base point, 16 circle samples, 2 points beside the relation's zero spiral
+    assert len(calls) == 19 and len(set(calls)) == 19
+
+
+def test_classify_case_i_evaluates_one_batch(ctx, monkeypatch):
+    real_twisted, real_samples = connection.twisted_birkhoff, galois.omega_samples
+    batches, sample_calls = [], []
+
+    def twisted(p, z, ctx, method="closed_form"):
+        batches.append(np.shape(z))
+        return real_twisted(p, z, ctx, method)
+
+    def samples(p, ctx, per_circle=8):
+        sample_calls.append(p)
+        return real_samples(p, ctx, per_circle)
+
+    monkeypatch.setattr(connection, "twisted_birkhoff", twisted)
+    monkeypatch.setattr(galois, "omega_samples", samples)
+    report = classify(_case_params(ctx, "i"), ctx)
+    assert report.lie_case == "i" and report.obstruction_residual is not None
+    assert batches == [(19,)]
+    assert len(sample_calls) == 1
+
+
+@pytest.mark.parametrize("case", ["i", "iii", "iv"])
+def test_classify_shares_one_evaluation_with_the_public_wrappers(ctx, case):
+    report = classify(_case_params(ctx, case), ctx)
+    pn = report.normalized
+    gens = generators(pn, report.base_point, list(report.samples), ctx)
+    assert [label for label, _ in gens] == [label for label, _ in report.generators]
+    for (_, m), (_, ref) in zip(report.generators, gens):
+        assert np.linalg.norm(m - ref) <= 1e-12 * np.linalg.norm(ref)
+    residual = pgl2_obstruction(pn, obstruction_samples(pn, ctx), ctx)
+    assert abs(report.obstruction_residual - residual) <= 1e-12 * residual

@@ -3,6 +3,7 @@ q-logarithm, and the order-3 basic hypergeometric series."""
 
 import cmath
 
+import numpy as np
 import pytest
 
 from qgalois import (
@@ -146,3 +147,39 @@ def test_qpoch_inf_product(ctx):
     prod = qpoch_inf_product(vals, ctx)
     expect = qpochhammer_infinite(vals[0], ctx)[0] * qpochhammer_infinite(vals[1], ctx)[0]
     assert abs(prod - expect) < 1e-14
+
+
+@pytest.mark.parametrize("q, z", [(0.99, 1e-3), (0.99, 1e-5), (0.99, 1e5), (0.5, 1e-200), (0.5, 1e-300)])
+def test_theta_out_of_double_range_raises_domain_error(q, z):
+    ctx = QContext(q)
+    for fn in (theta, theta_d1, theta_d2, lq):
+        with pytest.raises(DomainError):
+            fn(z, ctx)
+
+
+ARRAY_QS = [0.5, 0.5 * cmath.exp(0.5j)]
+
+
+@pytest.mark.parametrize("q", ARRAY_QS)
+def test_theta_array_matches_scalar_elementwise(q, rng):
+    ctx = QContext(q)
+    zs = np.array(_points(rng, 27))
+    for shaped in (zs, zs.reshape(3, 3, 3)):
+        out = theta(shaped, ctx)
+        assert out.shape == shaped.shape
+        for z, t in zip(shaped.ravel(), out.ravel()):
+            ref = theta(complex(z), ctx)
+            assert abs(t - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("q", ARRAY_QS)
+def test_theta_array_functional_equation(q, rng):
+    ctx = QContext(q)
+    zs = np.array(_points(rng))
+    t = theta(zs, ctx)
+    assert np.all(np.abs(theta(ctx.q * zs, ctx) + t / zs) < 1e-12 * np.abs(t / zs))
+
+
+def test_theta_array_zero_entry_rejected(ctx):
+    with pytest.raises(DomainError):
+        theta(np.array([0.7 + 0.2j, 0.0, 1.3]), ctx)

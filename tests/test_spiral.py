@@ -4,10 +4,12 @@ twisting endomorphism."""
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from qgalois import (
     DomainError,
+    QContext,
     decompose,
     g_endomorphism,
     gamma1,
@@ -15,6 +17,7 @@ from qgalois import (
     in_q_spiral,
     log_q,
 )
+from qgalois.spiral import spiral_clearance
 
 
 def test_decompose_roundtrip(ctx, rng):
@@ -90,3 +93,20 @@ def test_gamma_projections(ctx):
     assert abs(gamma2(c, ctx) - cmath.exp(2j * math.pi * 1.7)) < 1e-12
     # q-real values project to 1 on the unit-circle factor
     assert abs(gamma1(ctx.qpow(0.3), ctx) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("q", [0.5, 0.5 * cmath.exp(0.5j)])
+def test_spiral_clearance_is_the_nearest_spiral_point(q, rng):
+    ctx = QContext(q)
+    omegas = np.concatenate([rng.uniform(-3.0, 3.0, 60), [0.5 - 1e-12, 0.5, 0.5 + 1e-12, 2.0]])
+    phases = np.concatenate([rng.uniform(-0.6, 0.6, 60), [0.0, 0.0, 0.0, 1e-7]])
+    cs = np.exp(1j * phases + omegas * ctx.log_q)
+    clearance = spiral_clearance(cs, ctx)
+    cap = 1.0 - abs(q)
+    for c, d in zip(cs, clearance):
+        omega = math.log(abs(c)) / math.log(abs(q))
+        ks = range(math.floor(omega) - 20, math.ceil(omega) + 21)
+        brute = min(abs(c - ctx.qpow(k)) / abs(ctx.qpow(k)) for k in ks)
+        # beyond 1 - |q| the minimum may come from far-away spiral points
+        assert abs(min(d, cap) - min(brute, cap)) <= 1e-12 * max(brute, 1e-300) + 1e-15
+    assert spiral_clearance(complex(cs[0]), ctx) == clearance[0]
