@@ -12,7 +12,6 @@ from .errors import (
     PoleError,
     NonConvergentError,
     DivergenceError,
-    IllConditionedError,
     NotUnimodularError,
     BadIndexError,
     ResonantError,
@@ -39,23 +38,17 @@ from .qseries import (
     qpoch_inf_product,
     theta,
     theta_d1,
-    theta_d2,
     theta_triple_product,
     qcharacter,
     lq,
-    lq_binom,
     phi3_2,
     qhyper_series,
 )
 from .mat3 import (
-    JordanForm,
     DunfordPair,
-    eig3,
-    dunford,
     rho,
     psl2_relation_residual,
     psl2_eigenvalue_check,
-    in_perm_cstar,
     minor2,
 )
 from .hypersystem import (
@@ -82,7 +75,6 @@ from .connection import (
     core_numeric,
     birkhoff_numeric,
     birkhoff_closed_form,
-    twist_factor,
     twisted_birkhoff,
     det_formula,
     minor_formula,

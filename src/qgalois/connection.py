@@ -39,10 +39,11 @@ from .errors import (
     SingularSolutionError,
     SpiralCollisionError,
 )
-from .mat3 import DunfordPair, minor2, semisimple_apply
+from .mat3 import minor2
 from .hypersystem import (
     HyperParams,
     LocalData,
+    _unipotent_power,
     check_fuchsian_nonresonant,
     e_matrix,
     fmatrix_at,
@@ -51,8 +52,8 @@ from .hypersystem import (
     local_solution_zero,
     local_solution_zero_log,
 )
-from .qseries import qcharacter, qpochhammer_infinite, theta
-from .spiral import g_endomorphism, in_q_spiral, log_q
+from .qseries import qpochhammer_infinite, theta
+from .spiral import in_q_spiral, log_q
 
 __all__ = [
     "ConnectionEval",
@@ -62,7 +63,6 @@ __all__ = [
     "core_numeric",
     "birkhoff_numeric",
     "birkhoff_closed_form",
-    "twist_factor",
     "twisted_birkhoff",
     "det_formula",
     "minor_formula",
@@ -323,20 +323,6 @@ def birkhoff_closed_form(p: HyperParams, z: complex, ctx: QContext) -> np.ndarra
     return np.linalg.solve(ei, core_closed_form(p, z, ctx)) @ e0
 
 
-def twist_factor(D: np.ndarray, z: complex, side: str, ctx: QContext) -> np.ndarray:
-    """psi_z(D) for semi-simple D: conjugated diagonal of
-    psi_z(lambda) = e_lambda(z)/g_z(lambda) (via 1/z for the infinity side)."""
-    if side not in ("zero", "infinity"):
-        raise DomainError("side must be 'zero' or 'infinity'")
-    w = z if side == "zero" else 1.0 / z
-
-    def psi(lam: complex) -> complex:
-        mu = lam if side == "zero" else 1.0 / lam
-        return qcharacter(mu, w, ctx) / g_endomorphism(w, mu, ctx)
-
-    return semisimple_apply(D, psi)
-
-
 def twisted_birkhoff(
     p: HyperParams, z, ctx: QContext, method: str = "closed_form"
 ) -> np.ndarray:
@@ -413,18 +399,11 @@ def connection_logarithmic(p: HyperParams, z: complex, ctx: QContext) -> np.ndar
         raise DomainError("parameters are not in a logarithmic case")
     core = core_numeric(p, z, ctx)
     rows, cols = _equation(p, ctx).weights(z)
-    # left: psi_infinity(D_inf) e_inf^{-1} = diag(1/g_{1/z}(a_i)) * (e_U^inf)^{-1}
-    wrow = np.diag(rows)
-    Uinf = locinf.dunford.U
-    if np.max(np.abs(Uinf - np.eye(3))) > 1e-13:
-        eu = e_matrix(DunfordPair(D=np.eye(3, dtype=complex), U=Uinf), z, "infinity", ctx)
-        left = wrow @ np.linalg.inv(eu)
-    else:
-        left = wrow
+    # left: psi_infinity(D_inf) e_inf^{-1} = diag(1/g_{1/z}(a_i)) (U_inf^l_q(z))^{-1}
+    left = rows[:, None] * np.linalg.inv(_unipotent_power(locinf.dunford.U, z, ctx))
     # right: e_0 psi_zero(D_0)^{-1}; D_0 = I in the logarithmic-at-0 cases
-    U0 = loc0.dunford.U
-    if np.max(np.abs(U0 - np.eye(3))) > 1e-13:
-        right = e_matrix(DunfordPair(D=np.eye(3, dtype=complex), U=U0), z, "zero", ctx)
+    if loc0.logarithmic:
+        right = _unipotent_power(loc0.dunford.U, z, ctx)
     else:
         right = np.diag(cols)
     return left @ core @ right

@@ -21,10 +21,6 @@ class DivergenceError(QGaloisError, ValueError):
     """Series argument outside the disc of convergence."""
 
 
-class IllConditionedError(QGaloisError, ArithmeticError):
-    """An eigenvector or transformation matrix is numerically singular."""
-
-
 class NotUnimodularError(QGaloisError, ValueError):
     """A 2x2 matrix expected to have determinant 1 does not."""
 

@@ -33,7 +33,7 @@ from .errors import (
     InsufficientSamplesError,
     QGaloisError,
 )
-from .hypersystem import HyperParams, check_fuchsian_nonresonant
+from .hypersystem import HyperParams
 from .spiral import decompose, gamma1, gamma2, in_q_spiral, spiral_clearance
 from . import connection
 

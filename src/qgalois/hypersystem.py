@@ -8,6 +8,11 @@ e_J so that Y = F e_J solves the system, continues solutions beyond the series
 radius by iterating the functional equation, and computes the logarithmic
 degeneration limits (b -> (q,q,q) at 0, a -> (a,a,a) at infinity) by an
 epsilon-ladder with Richardson extrapolation.
+
+Every local exponent matrix J and its Dunford pair J = D U are read off the
+parameters: diag(1, q/b2, q/b3) or the unipotent J_q at 0, diag(1/a_i) or
+(1/a) (a J_infinity) at infinity, so D is always diagonal.  e_J is then
+e_D U^(l_q(z)), with e_D from one q-character call over the diagonal of D.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .errors import (
     PoleError,
     ResonantError,
 )
-from .mat3 import DunfordPair, dunford, semisimple_apply
+from .mat3 import DunfordPair
 from .qseries import lq, qcharacter, qhyper_series
 from .spiral import decompose, in_q_spiral
 
@@ -129,7 +134,7 @@ class LocalData:
 
     side: str  # "zero" | "infinity"
     J: np.ndarray
-    dunford: DunfordPair
+    dunford: DunfordPair  # J = D U with D diagonal
     exponents: tuple[complex, ...]
     F: Callable[[complex], np.ndarray] = field(repr=False)
     radius: float
@@ -286,31 +291,35 @@ def local_solution_infinity(p: HyperParams, ctx: QContext) -> LocalData:
     )
 
 
-def e_matrix(J, z: complex, side: str, ctx: QContext) -> np.ndarray:
-    """Character matrix e_J(z) with e_J(qz) = J e_J(z).
+def _unipotent_power(U: np.ndarray, z: complex, ctx: QContext) -> np.ndarray:
+    """U^(l_q(z)) = I + l N + l (l - 1)/2 N^2 for a unipotent U = I + N
+    (N^3 = 0), with l = l_q(z); the identity, with no q-logarithm, for U = I."""
+    N = U - np.eye(3, dtype=complex)
+    if not N.any():
+        return np.eye(3, dtype=complex)
+    ell = lq(z, ctx)
+    return np.eye(3, dtype=complex) + ell * N + (ell * (ell - 1.0) / 2.0) * (N @ N)
 
-    The semi-simple part uses q-characters (via 1/z for the infinity side);
-    the unipotent part uses the q-logarithm polynomial, which satisfies the
-    required shift law on both sides.
+
+def e_matrix(dp: DunfordPair, z: complex, side: str, ctx: QContext) -> np.ndarray:
+    """Character matrix e_J(z) = e_D(z) U^(l_q(z)) with e_J(qz) = J e_J(z), for
+    the Dunford pair J = D U of a local exponent matrix.
+
+    D must be diagonal (DomainError otherwise); e_D holds the q-characters of
+    its entries, from one qcharacter call (via 1/z and 1/lambda on the
+    infinity side).  The q-logarithm polynomial of the unipotent part
+    satisfies the required shift law on both sides.
     """
     if side not in ("zero", "infinity"):
         raise DomainError("side must be 'zero' or 'infinity'")
-    dp = J if isinstance(J, DunfordPair) else dunford(np.asarray(J, dtype=complex))
-    D, U = dp.D, dp.U
-
-    w = z if side == "zero" else 1.0 / z
-    eD = semisimple_apply(D, lambda lam: qcharacter(lam if side == "zero" else 1.0 / lam, w, ctx))
-
-    N = U - np.eye(3, dtype=complex)
-    if np.max(np.abs(N)) < 1e-14:
-        return eD
-    ell = lq(z, ctx)
-    eU = (
-        np.eye(3, dtype=complex)
-        + ell * N
-        + (ell * (ell - 1.0) / 2.0) * (N @ N)
-    )
-    return eD @ eU
+    if not isinstance(dp, DunfordPair) or (dp.D - np.diag(np.diag(dp.D))).any():
+        raise DomainError("e_matrix needs a DunfordPair with diagonal D")
+    lam = np.diag(dp.D)
+    if side == "zero":
+        eD = qcharacter(lam, z, ctx)
+    else:
+        eD = qcharacter(1.0 / lam, 1.0 / z, ctx)
+    return eD[:, None] * _unipotent_power(dp.U, z, ctx)
 
 
 def _continued(
@@ -514,6 +523,11 @@ def local_solution_infinity_log(p: HyperParams, ctx: QContext) -> LocalData:
     Jinf = np.array(
         [[1.0 / a, 1, 0], [0, 1.0 / a, 1], [0, 0, 1.0 / a]], dtype=complex
     )
+    # J_inf = (1/a) (a J_inf): D = I/a, and U unipotent with a above the diagonal
+    pair = DunfordPair(
+        D=np.eye(3, dtype=complex) / a,
+        U=np.array([[1, a, 0], [0, 1, a], [0, 0, 1]], dtype=complex),
+    )
     W = _wmult_infinity(a)
     radius = 2.0 * abs(p.b2 * p.b3 / (a ** 3 * ctx.q))
 
@@ -532,7 +546,7 @@ def local_solution_infinity_log(p: HyperParams, ctx: QContext) -> LocalData:
     return LocalData(
         side="infinity",
         J=Jinf,
-        dunford=dunford(Jinf),
+        dunford=pair,
         exponents=(1.0 / a, 1.0 / a, 1.0 / a),
         F=F,
         radius=radius,

@@ -4,8 +4,9 @@ the q-logarithm, and the 3phi2 basic hypergeometric series.
 All evaluations are error-bounded: truncated series/products stop once a
 geometric tail bound drops below ctx.eps_trunc, with a hard cap of ctx.n_max
 terms, and the series-valued operations return a TruncationReport alongside
-the value.  theta also takes an array of z; its series has one truncation
-order per context, so every element gets the same arithmetic as a scalar.
+the value.  theta also takes an array of z, and qcharacter an array of
+lambda; the theta series has one truncation order per context, so every
+element gets the same arithmetic as a scalar.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     NonConvergentError,
     PoleError,
 )
-from .spiral import in_q_spiral
+from .spiral import in_q_spiral, spiral_clearance
 
 __all__ = [
     "qpochhammer_finite",
@@ -32,11 +33,9 @@ __all__ = [
     "qpoch_inf_product",
     "theta",
     "theta_d1",
-    "theta_d2",
     "theta_triple_product",
     "qcharacter",
     "lq",
-    "lq_binom",
     "phi3_2",
     "qhyper_series",
 ]
@@ -87,13 +86,14 @@ def qpoch_inf_product(values: Sequence[complex], ctx: QContext) -> complex:
 def _theta_plan(ctx: QContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The z-independent part of the bilateral theta series at ctx: the step
     factors -q^(n-1) (upward) and -q^n (downward) for n = 1..N as columns, and
-    the weights 1, n and n(n-1) of the derivative sums, shape (3, 2N + 1, 1),
-    for the terms in summation order n = 0, 1, ..., N, -1, ..., -N.
+    the weights 1 and n of the sums behind theta and w theta', shape
+    (2, 2N + 1, 1), for the terms in summation order n = 0, 1, ..., N, -1,
+    ..., -N.
 
     N is the smallest n with |q|^(n(n-2)/2) (1 + n^2) < eps_trunc.  On the
     core annulus |q|^(1/2) <= |w| <= |q|^(-1/2) this bounds the last term in
-    both directions, and the n- and n^2-weighted terms of the derivative
-    series.  The arrays are read-only.
+    both directions, and the n-weighted terms of the derivative series.  The
+    arrays are read-only.
     """
     lq = -math.log(abs(ctx.q))
     n = 1
@@ -106,7 +106,7 @@ def _theta_plan(ctx: QContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     down = -qpow[:, None]
     index = np.arange(n + 1, dtype=float)
     index = np.concatenate((index, -index[1:]))[:, None]
-    moments = np.stack((np.ones_like(index), index, index * (index - 1.0)))
+    moments = np.stack((np.ones_like(index), index))
     for arr in (up, down, moments):
         arr.flags.writeable = False
     return up, down, moments
@@ -115,8 +115,8 @@ def _theta_plan(ctx: QContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _theta_terms(w: np.ndarray, ctx: QContext) -> tuple[np.ndarray, np.ndarray]:
     """Terms (-1)^n q^(n(n-1)/2) w^n of the bilateral series for a 1-d array
     w on the core annulus, one row per n in summation order, and the
-    derivative weights of _theta_plan.  Each term is the previous one times
-    its step factor."""
+    weights of _theta_plan.  Each term is the previous one times its step
+    factor."""
     up, down, moments = _theta_plan(ctx)
     n = len(up)
     terms = np.empty((2 * n + 1, w.size), dtype=complex)
@@ -167,30 +167,23 @@ def theta(z, ctx: QContext):
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
-def _theta_jet(z: complex, ctx: QContext) -> tuple[complex, complex, complex]:
-    """(theta, theta', theta'') at one z != 0: the series on the core annulus
-    and its derivatives, carried to z by differentiating
-    theta(z) = f(z) theta(z q^-k) with f(z) = (-1)^k q^(k(k+1)/2) z^-k."""
+def _theta_jet(z: complex, ctx: QContext) -> tuple[complex, float, complex, complex]:
+    """(theta'(z), k, s0, s1) at one z != 0.
+
+    With z = q^k w and theta(z) = f theta(w) as in _theta_shift, the sums
+    s0 = theta(w) and s1 = w theta'(w) are taken on the core annulus; then
+    theta'(z) = f (s1 - k s0) / z and -z theta'(z)/theta(z) = k - s1/s0.
+    Raises DomainError where theta or theta' leaves double range."""
     k, w, f = _theta_shift(np.array([z], dtype=complex), ctx)
     terms, moments = _theta_terms(w, ctx)
-    # s_j = w^j times the j-th derivative of the series at w
-    s0, s1, s2 = np.add.accumulate(moments * terms, axis=1)[:, -1]
-    jet = np.array([
-        f * s0,
-        f * (s1 - k * s0) / z,
-        f * (s2 - 2.0 * k * s1 + k * (k + 1.0) * s0) / z / z,
-    ])
-    return tuple(complex(v) for v in _checked(jet, z)[:, 0])
+    s0, s1 = np.add.accumulate(moments * terms, axis=1)[:, -1]
+    d1 = _checked(np.array([f * s0, f * (s1 - k * s0) / z]), z)[1, 0]
+    return complex(d1), float(k[0]), complex(s0[0]), complex(s1[0])
 
 
 def theta_d1(z: complex, ctx: QContext) -> complex:
     """First derivative of theta_q; DomainError where it leaves double range."""
-    return _theta_jet(z, ctx)[1]
-
-
-def theta_d2(z: complex, ctx: QContext) -> complex:
-    """Second derivative of theta_q; DomainError where it leaves double range."""
-    return _theta_jet(z, ctx)[2]
+    return _theta_jet(z, ctx)[0]
 
 
 def theta_triple_product(z: complex, ctx: QContext) -> complex:
@@ -204,40 +197,33 @@ def theta_triple_product(z: complex, ctx: QContext) -> complex:
     )
 
 
-def qcharacter(lam: complex, z: complex, ctx: QContext) -> complex:
-    """The q-character e_lam: meromorphic solution of e(qz) = lam * e(z).
+def qcharacter(lam, z: complex, ctx: QContext):
+    """The q-character e_lam: meromorphic solution of e(qz) = lam * e(z), at
+    a complex lam or elementwise over an array of lam (same shape back).
 
-    For |q| < |lam| <= 1 it is theta_q(z)/theta_q(lam*z); outside that annulus
-    lam is rescaled by integer q-powers using e_(q*lam) = z * e_lam.  (The
-    annulus is half-open at the |q| end so that e_1 is identically 1.)
+    For |q| < |lam| <= 1 it is theta_q(z)/theta_q(lam*z); outside that
+    annulus e_lam = z^(-k) e_(lam q^k) with the integer k that brings lam q^k
+    into it.  The annulus is half-open at the |q| end and e_1 is 1, so
+    e_(q^k)(z) = z^k exactly.  All thetas come from one call.
     """
-    if lam == 0 or z == 0:
+    lam = np.asarray(lam, dtype=complex)
+    if z == 0 or not lam.all():
         raise DomainError("qcharacter needs lam != 0 and z != 0")
+    flat = lam.reshape(-1)
     absq = abs(ctx.q)
-    lam = complex(lam)
-    prefac = 1.0 + 0j
-    guard = 0
-    while abs(lam) > 1.0 + 1e-14:
-        # e_lam = e_(q*lam) / z
-        lam *= ctx.q
-        prefac /= z
-        guard += 1
-        if guard > ctx.n_max:
-            raise NonConvergentError("qcharacter rescaling loop stuck")
-    while abs(lam) <= absq * (1.0 + 1e-14):
-        # e_lam = z * e_(lam/q)
-        lam /= ctx.q
-        prefac *= z
-        guard += 1
-        if guard > ctx.n_max:
-            raise NonConvergentError("qcharacter rescaling loop stuck")
-    pole = in_q_spiral(lam * z, ctx)
-    if pole.member:
-        raise PoleError(
-            f"qcharacter pole: lam*z within {pole.distance:.2e} of q^{pole.k}"
-        )
-    th = theta(np.array([z, lam * z]), ctx)
-    return prefac * complex(th[0] / th[1])
+    # k from the logs, then one step with the exact tests of the annulus edges
+    k = np.ceil(np.log(np.abs(flat)) / -math.log(absq))
+    size = np.abs(flat * ctx.q ** k)
+    k[size > 1.0 + 1e-14] += 1.0
+    k[size <= absq * (1.0 + 1e-14)] -= 1.0
+    scaled = flat * ctx.q ** k
+    clearance = spiral_clearance(scaled * z, ctx)
+    if (clearance < ctx.eps_spiral).any():
+        raise PoleError(f"qcharacter pole: lam*z within {clearance.min():.2e} of q^Z")
+    th = theta(np.concatenate(([z], scaled * z)), ctx)
+    prefac = complex(z) ** -k
+    out = np.where(scaled == 1.0, prefac, prefac * (th[0] / th[1:]))
+    return complex(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
 
 
 def lq(z: complex, ctx: QContext) -> complex:
@@ -249,21 +235,8 @@ def lq(z: complex, ctx: QContext) -> complex:
     zero = in_q_spiral(z, ctx)
     if zero.member:
         raise PoleError(f"lq pole: z within {zero.distance:.2e} of q^{zero.k}")
-    t0, t1, _ = _theta_jet(z, ctx)
-    return -z * t1 / t0
-
-
-def lq_binom(z: complex, ctx: QContext, k: int) -> complex:
-    """Binomial coefficient binom(l_q(z), k) with complex upper argument."""
-    if k < 0:
-        raise DomainError("k must be >= 0")
-    if k == 0:
-        return 1.0 + 0j
-    ell = lq(z, ctx)
-    out = 1.0 + 0j
-    for j in range(k):
-        out *= ell - j
-    return out / math.factorial(k)
+    _, k, s0, s1 = _theta_jet(z, ctx)
+    return k - s1 / s0
 
 
 def qhyper_series(

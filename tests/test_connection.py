@@ -25,7 +25,6 @@ from qgalois import (
     qpoch_inf_product,
     theta,
     theta_d1,
-    twist_factor,
     twisted_birkhoff,
     g_endomorphism,
 )
@@ -69,10 +68,6 @@ def test_twisted_shift_cocycle(ctx, p, rng):
         B = twisted_birkhoff(p, z, ctx)
         Bq = twisted_birkhoff(p, ctx.q * z, ctx)
         assert np.max(np.abs(Bq - B / ctx.q)) < 1e-9 * np.max(np.abs(B))
-
-
-def test_twist_factor_identity_on_identity(ctx):
-    assert np.allclose(twist_factor(np.eye(3), 0.7 + 0.2j, "zero", ctx), np.eye(3))
 
 
 def test_determinant_closed_form(ctx, p, rng):
@@ -293,3 +288,41 @@ def test_constants_are_not_shared_between_equal_instances(monkeypatch, ctx, p):
     core_closed_form(twin, z, ctx)
     assert len(calls) == 2 * first
     assert connection.local_pair(twin, ctx) is not connection.local_pair(p, ctx)
+
+
+# --- theta calls per point ---------------------------------------------------
+
+
+def _counting_theta(monkeypatch):
+    """Count theta calls through every binding the package calls."""
+    calls = []
+    original = qseries.theta
+
+    def counted(z, ctx):
+        calls.append(z)
+        return original(z, ctx)
+
+    monkeypatch.setattr(qseries, "theta", counted)
+    monkeypatch.setattr(connection, "theta", counted)
+    return calls
+
+
+def test_connection_eval_makes_three_theta_calls_per_point(monkeypatch, ctx, p):
+    zs = _annulus(np.random.default_rng(7), ctx, 4)
+    connection_eval(p, zs[0], ctx, "both")  # fills the per-equation memo
+    calls = _counting_theta(monkeypatch)
+    for z in zs:
+        connection_eval(p, z, ctx, "both")
+    # the closed-form core, and one q-character call per side
+    assert len(calls) == 3 * len(zs)
+
+
+def test_connection_logarithmic_makes_no_theta_call(monkeypatch, ctx):
+    a = ctx.qpow(0.3)
+    pl = HyperParams(a=(a, a, a), b2=ctx.q, b3=ctx.q)
+    zs = [0.8 * cmath.exp(1.1j), 1.3 * cmath.exp(-0.4j)]
+    connection_logarithmic(pl, zs[0], ctx)
+    calls = _counting_theta(monkeypatch)
+    for z in zs:
+        connection_logarithmic(pl, z, ctx)
+    assert calls == []

@@ -8,7 +8,9 @@ import pytest
 
 from qgalois import (
     DomainError,
+    DunfordPair,
     HyperParams,
+    QContext,
     check_fuchsian_nonresonant,
     e_matrix,
     fmatrix_at,
@@ -104,6 +106,39 @@ def test_e_matrix_side_guard(ctx, p):
     loc0 = local_solution_zero(p, ctx)
     with pytest.raises(DomainError):
         e_matrix(loc0.dunford, 0.5, "nowhere", ctx)
+
+
+def test_e_matrix_requires_diagonal_d(ctx, p):
+    loc0 = local_solution_zero(p, ctx)
+    with pytest.raises(DomainError):
+        e_matrix(loc0.J, 0.5, "zero", ctx)
+    D = loc0.J.copy()
+    D[0, 1] = 1e-3
+    with pytest.raises(DomainError):
+        e_matrix(DunfordPair(D=D, U=np.eye(3, dtype=complex)), 0.5, "zero", ctx)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.5 * cmath.exp(0.5j)])
+def test_log_infinity_dunford_pair_is_closed_form(q):
+    ctx = QContext(q)
+    a = ctx.qpow(0.3)
+    loc = local_solution_infinity_log(HyperParams(a=(a, a, a), b2=ctx.q, b3=ctx.q), ctx)
+    D, U = loc.dunford.D, loc.dunford.U
+    assert not (D - np.diag(np.diag(D))).any()
+    assert np.max(np.abs(D @ U - loc.J)) <= 1e-15 * np.max(np.abs(loc.J))
+    assert not np.linalg.matrix_power(U - np.eye(3), 3).any()
+
+
+def test_log_e_matrix_cocycle(ctx, rng):
+    a = ctx.qpow(0.3)
+    pl0 = HyperParams(a=(ctx.qpow(0.13), ctx.qpow(0.37), ctx.qpow(0.71)), b2=ctx.q, b3=ctx.q)
+    plinf = HyperParams(a=(a, a, a), b2=ctx.q, b3=ctx.q)
+    locs = (local_solution_zero_log(pl0, ctx), local_solution_infinity_log(plinf, ctx))
+    for z in _ring(rng, 8, 0.5, 0.9):
+        for loc in locs:
+            e = e_matrix(loc.dunford, z, loc.side, ctx)
+            eq = e_matrix(loc.dunford, ctx.q * z, loc.side, ctx)
+            assert np.max(np.abs(eq - loc.J @ e)) < 1e-9 * np.max(np.abs(e))
 
 
 def test_log_zero_ladder(ctx, rng):

@@ -1,85 +1,16 @@
-"""3x3 eigenstructure, Dunford decomposition, the symmetric-square embedding,
-and matrix predicates."""
+"""The symmetric-square embedding, the PSL2 predicates and 2x2 minors."""
 
 import numpy as np
 import pytest
 
 from qgalois import (
     BadIndexError,
-    DomainError,
     NotUnimodularError,
-    dunford,
-    eig3,
-    in_perm_cstar,
     minor2,
     psl2_eigenvalue_check,
     psl2_relation_residual,
     rho,
 )
-
-
-def _companion(c0, c1, c2):
-    return np.array([[0, 1, 0], [0, 0, 1], [c0, c1, c2]], dtype=complex)
-
-
-def test_eig3_diagonalizable(rng):
-    M = np.diag([1.0, 2.0, 3.0 + 1j])
-    jf = eig3(M)
-    assert jf.diagonalizable
-    assert sorted(np.abs(jf.eigenvalues)) == pytest.approx([1.0, 2.0, abs(3.0 + 1j)])
-    R = jf.transform @ jf.jordan @ np.linalg.inv(jf.transform)
-    assert np.max(np.abs(R - M)) < 1e-10
-
-
-def test_eig3_full_jordan_block():
-    lam = 0.7
-    # companion matrix of (x - lam)^3: non-derogatory, single 3-block
-    M = _companion(lam ** 3, -3 * lam ** 2, 3 * lam)
-    # defective eigenvalues split by ~eps^(1/3) in floating point; cluster coarser
-    jf = eig3(M, tol=1e-4)
-    assert jf.block_sizes == (3,)
-    R = jf.transform @ jf.jordan @ np.linalg.inv(jf.transform)
-    assert np.max(np.abs(R - M)) < 1e-8
-
-
-def test_eig3_two_block(rng):
-    lam, mu = 0.5, 2.0
-    J = np.array([[lam, 1, 0], [0, lam, 0], [0, 0, mu]], dtype=complex)
-    S = rng.normal(size=(3, 3)) + 0.1 * np.eye(3)
-    M = S @ J @ np.linalg.inv(S)
-    jf = eig3(M, tol=1e-4)
-    assert sorted(jf.block_sizes) == [1, 2]
-    R = jf.transform @ jf.jordan @ np.linalg.inv(jf.transform)
-    assert np.max(np.abs(R - M)) < 1e-7
-
-
-def test_eig3_shape_guard():
-    with pytest.raises(DomainError):
-        eig3(np.eye(2))
-
-
-def test_dunford_properties():
-    lam = 1.5
-    M = _companion(lam ** 3, -3 * lam ** 2, 3 * lam)
-    pair = dunford(M, tol=1e-4)
-    # D semi-simple with the right eigenvalues, U unipotent, commuting, M = DU
-    assert np.max(np.abs(pair.D @ pair.U - M)) < 1e-8
-    assert np.max(np.abs(pair.D @ pair.U - pair.U @ pair.D)) < 1e-8
-    N = pair.U - np.eye(3)
-    assert np.max(np.abs(N @ N @ N)) < 1e-8
-    assert eig3(pair.D).diagonalizable
-
-
-def test_dunford_diagonalizable_is_trivial():
-    M = np.diag([1.0, 2.0, 3.0])
-    pair = dunford(M)
-    assert np.max(np.abs(pair.U - np.eye(3))) == 0.0
-    assert np.max(np.abs(pair.D - M)) == 0.0
-
-
-def test_dunford_rejects_singular():
-    with pytest.raises(DomainError):
-        dunford(np.diag([0.0, 1.0, 2.0]))
 
 
 def test_rho_is_homomorphism(rng):
@@ -106,14 +37,6 @@ def test_psl2_relation_and_eigenvalues(rng):
     M = np.array([[1, 2, 3], [4, 5, 6], [7, 8, 10.0]])
     assert psl2_relation_residual(M) > 1e-3
     assert not psl2_eigenvalue_check(M)
-
-
-def test_in_perm_cstar():
-    ok, perm, scales = in_perm_cstar(np.array([[0, 2.0, 0], [1j, 0, 0], [0, 0, -3.0]]))
-    assert ok and perm == (1, 0, 2)
-    assert scales == (2.0, 1j, -3.0)
-    bad, _, _ = in_perm_cstar(np.array([[1.0, 1.0, 0], [0, 1, 0], [0, 0, 1]]))
-    assert not bad
 
 
 def test_minor2_values_and_guards():
