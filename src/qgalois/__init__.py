@@ -53,11 +53,10 @@ from .mat3 import (
 )
 from .hypersystem import (
     HyperParams,
-    SideVerdict,
-    SystemVerdicts,
     LocalData,
+    SpiralPattern,
     system_matrix,
-    check_fuchsian_nonresonant,
+    spiral_pattern,
     local_solution_zero,
     local_solution_infinity,
     local_solution_zero_log,

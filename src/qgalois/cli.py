@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -24,8 +23,6 @@ from . import galois as ga
 from . import verify as vf
 
 __all__ = ["RunConfig", "build_parser", "cmd_classify", "cmd_connection", "cmd_verify", "main"]
-
-_ENV_EPS = "QGALOIS_EPS"
 
 
 @dataclass(frozen=True)
@@ -55,30 +52,9 @@ def _parse_triple(text: str, q: complex, name: str, count: int) -> tuple[complex
     return tuple(_parse_complex(p, q) for p in parts)
 
 
-def _env_eps_overrides() -> dict[str, float]:
-    """QGALOIS_EPS: either one float for both tolerances, or key=value pairs
-    'trunc=1e-12,spiral=1e-9'."""
-    raw = os.environ.get(_ENV_EPS)
-    if not raw:
-        return {}
-    out: dict[str, float] = {}
-    if "=" not in raw:
-        v = float(raw)
-        return {"eps_trunc": v, "eps_spiral": v}
-    for item in raw.split(","):
-        key, _, val = item.partition("=")
-        key = key.strip()
-        if key not in ("trunc", "spiral"):
-            raise ValueError(f"{_ENV_EPS} keys must be trunc/spiral, got {key!r}")
-        out[f"eps_{key}"] = float(val)
-    return out
-
-
 def _make_config(args: argparse.Namespace) -> RunConfig:
     q = complex(args.q) if "," not in args.q else complex(*map(float, args.q.split(",")))
-    eps = {"eps_trunc": args.eps_trunc, "eps_spiral": args.eps_spiral}
-    eps.update(_env_eps_overrides())
-    ctx = QContext(q, eps_trunc=eps["eps_trunc"], eps_spiral=eps["eps_spiral"])
+    ctx = QContext(q, eps_trunc=args.eps_trunc, eps_spiral=args.eps_spiral)
     return RunConfig(ctx=ctx, seed=args.seed, fmt=args.format)
 
 

@@ -9,13 +9,14 @@ nine 2x2 minors have closed forms implemented here as independent oracles.
 
 Every q-Pochhammer factor in these closed forms depends on the parameters
 only, as do the local solutions.  That data is computed once per equation and
-memoized on the HyperParams instance, one record per QContext: the local
-pair, the genericity verdict, the 31 distinct (x;q)_infinity values, the p_ij
-matrix built from them, the determinant prefactor, the z-independent
-factor of each minor, and the spiral exponents of a and (q, b2, b3) behind
-the twist weights.  The record lives as long as the instance, so reuse one
-instance across evaluation points; an equal but distinct instance computes
-its own.  A computation that raises stores nothing.
+memoized on the HyperParams instance, one record per QContext: the spiral
+pattern, the local pair and the genericity verdict read from it, the 31
+distinct (x;q)_infinity values, the p_ij matrix built from them, the
+determinant prefactor, the z-independent factor of each minor, and the
+spiral exponents of a and (q, b2, b3) behind the twist weights.  The
+record lives as long as the instance, so reuse one instance across
+evaluation points; an equal but distinct instance computes its own.  A
+computation that raises stores nothing.
 
 The z-dependent side is evaluated over arrays of z by one implementation on
 that record: the twist weights exp(-omega log_q(z) log q) from one log_q call
@@ -43,17 +44,18 @@ from .mat3 import minor2
 from .hypersystem import (
     HyperParams,
     LocalData,
+    SpiralPattern,
     _unipotent_power,
-    check_fuchsian_nonresonant,
     e_matrix,
     fmatrix_at,
     local_solution_infinity,
     local_solution_infinity_log,
     local_solution_zero,
     local_solution_zero_log,
+    spiral_pattern,
 )
 from .qseries import qpochhammer_infinite, theta
-from .spiral import in_q_spiral, log_q
+from .spiral import log_q
 
 __all__ = [
     "ConnectionEval",
@@ -84,6 +86,11 @@ class ConnectionEval:
     residual_cross: float | None = None
 
 
+# The ratios of SpiralPattern, infinity side then zero side; b2/q and b3/q
+# lie on q^Z exactly when b2 and b3 do.
+_RATIO_LABELS = ("a1/a2", "a1/a3", "a2/a3", "b2", "b3", "b2/b3")
+
+
 def _others(k: int) -> list[int]:
     """The two 0-based indices other than k."""
     return [m for m in range(3) if m != k]
@@ -100,14 +107,17 @@ class _Equation:
         self.minors: dict[tuple, complex] = {}
 
     @functools.cached_property
+    def pattern(self) -> SpiralPattern:
+        return spiral_pattern(self.p, self.ctx)
+
+    @functools.cached_property
     def local_pair(self) -> tuple[LocalData, LocalData]:
         p, ctx = self.p, self.ctx
-        v = check_fuchsian_nonresonant(p, ctx)
-        if v.zero.logarithmic:
+        if self.pattern.merged("zero"):
             loc0 = local_solution_zero_log(p, ctx)
         else:
             loc0 = local_solution_zero(p, ctx)
-        if v.infinity.logarithmic:
+        if self.pattern.merged("infinity"):
             locinf = local_solution_infinity_log(p, ctx)
         else:
             locinf = local_solution_infinity(p, ctx)
@@ -117,14 +127,9 @@ class _Equation:
     def collision(self) -> str | None:
         """The genericity hypothesis behind the closed forms that fails, if
         any: all a-ratios and b2, b3, b2/b3 must lie off the discrete spiral."""
-        p, ctx = self.p, self.ctx
-        a = p.a
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if in_q_spiral(a[i] / a[j], ctx).member:
-                    return f"a{i+1}/a{j+1} lies on q^Z"
-        for label, v in (("b2", p.b2), ("b3", p.b3), ("b2/b3", p.b2 / p.b3)):
-            if in_q_spiral(v, ctx).member:
+        verdicts = self.pattern.infinity + self.pattern.zero
+        for label, v in zip(_RATIO_LABELS, verdicts):
+            if v.member:
                 return f"{label} lies on q^Z"
         return None
 
@@ -297,14 +302,6 @@ def core_numeric(p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:
     return np.linalg.solve(Fi, fmatrix_at(loc0, p, z, ctx))
 
 
-def _core(p: HyperParams, z: complex, ctx: QContext, method: str) -> np.ndarray:
-    if method == "closed_form":
-        return core_closed_form(p, z, ctx)
-    if method == "numeric":
-        return core_numeric(p, z, ctx)
-    raise DomainError(f"unknown method {method!r}")
-
-
 def _e_pair(p: HyperParams, z: complex, ctx: QContext) -> tuple[np.ndarray, np.ndarray]:
     """Character matrices e_J(z) of the local solutions at infinity and at 0."""
     loc0, locinf = local_pair(p, ctx)
@@ -323,15 +320,14 @@ def birkhoff_closed_form(p: HyperParams, z: complex, ctx: QContext) -> np.ndarra
     return np.linalg.solve(ei, core_closed_form(p, z, ctx)) @ e0
 
 
-def twisted_birkhoff(
-    p: HyperParams, z, ctx: QContext, method: str = "closed_form"
-) -> np.ndarray:
+def twisted_birkhoff(p: HyperParams, z, ctx: QContext) -> np.ndarray:
     """Twisted connection matrix
     diag((1/z)^(-alpha)) [p_ij theta_q(q a_i z/b_j)/theta_q(z)] diag(z^(-beta)).
 
-    With the closed form, z may be an array: the matrices at all points come
-    from one batched evaluation, with shape z.shape + (3, 3)."""
-    return _equation(p, ctx).twisted(z, _core(p, z, ctx, method))
+    z may be an array: the matrices at all points come from one batched
+    closed-form evaluation, with shape z.shape + (3, 3)."""
+    eq = _generic(p, ctx)
+    return eq.twisted(z, eq.core(z))
 
 
 def det_formula(p: HyperParams, z: complex, ctx: QContext) -> complex:
@@ -418,7 +414,12 @@ def connection_eval(
     ei, e0 = _e_pair(p, z, ctx)
     if method == "both":
         Pn = np.linalg.solve(ei, core_numeric(p, z, ctx)) @ e0
-    core = _core(p, z, ctx, "closed_form" if method == "both" else method)
+    if method == "numeric":
+        core = core_numeric(p, z, ctx)
+    elif method in ("both", "closed_form"):
+        core = core_closed_form(p, z, ctx)
+    else:
+        raise DomainError(f"unknown method {method!r}")
     P = np.linalg.solve(ei, core) @ e0
     res = None
     if method == "both":

@@ -33,7 +33,7 @@ from .errors import (
     InsufficientSamplesError,
     QGaloisError,
 )
-from .hypersystem import HyperParams
+from .hypersystem import HyperParams, spiral_pattern
 from .spiral import decompose, gamma1, gamma2, in_q_spiral, spiral_clearance
 from . import connection
 
@@ -162,24 +162,21 @@ def normalize_parameters(
 
 
 def classify_case(p: HyperParams, ctx: QContext) -> str:
-    """Local-case tag for normalized parameters.
+    """Local-case tag for normalized parameters, read off their SpiralPattern
+    (which of a1/a2, a1/a3, a2/a3 and b2/q, b3/q, b2/b3 lie on q^Z).
 
     (i)   all a-ratios and b2, b3, b2/b3 off q^Z;
     (ii)  a-ratios off, b2 = b3 off q^Z;
     (iii) a-ratios off, b2 = b3 = q (up to q^Z);
     (iv)  a = (a,a,a) and b = (q,q,q).
-    Unlisted multiplicity patterns are routed to the nearest handled analogue:
-    triple a with generic b behaves like (iii), a double a-pair like (ii).
+    Unlisted patterns are routed to the nearest handled analogue: triple a
+    with generic b to (iii), a merged a-pair to (ii), one b on q^Z alone to
+    (i).  No analogue is built for them, so classify reports them with no
+    connection generators.
     """
-    a_pairs = sum(
-        1
-        for i in range(3)
-        for j in range(i + 1, 3)
-        if in_q_spiral(p.a[i] / p.a[j], ctx).member
-    )
-    b2_on = in_q_spiral(p.b2, ctx).member
-    b3_on = in_q_spiral(p.b3, ctx).member
-    b_merged = in_q_spiral(p.b2 / p.b3, ctx).member
+    pattern = spiral_pattern(p, ctx)
+    a_pairs = sum(v.member for v in pattern.infinity)
+    b2_on, b3_on, b_merged = (v.member for v in pattern.zero)
     if a_pairs == 0:
         if not b_merged and not b2_on and not b3_on:
             return "i"
@@ -187,7 +184,7 @@ def classify_case(p: HyperParams, ctx: QContext) -> str:
             return "iii"
         if b_merged:
             return "ii"
-        return "i"  # one b on q^Z alone cannot happen for irreducible input
+        return "i"  # one b on q^Z alone: the closed forms then refuse it
     if a_pairs == 3:
         if b2_on and b3_on:
             return "iv"
@@ -203,7 +200,7 @@ def _twisted_matrices(
     the logarithmic cases."""
     if case in ("iii", "iv"):
         return np.array([connection.connection_logarithmic(p, z, ctx) for z in zs])
-    return connection.twisted_birkhoff(p, np.asarray(zs, dtype=complex), ctx, "closed_form")
+    return connection.twisted_birkhoff(p, np.asarray(zs, dtype=complex), ctx)
 
 
 def _det_zero_anchor(p: HyperParams, ctx: QContext) -> complex:

@@ -2,12 +2,12 @@
 
 A parameter set (a1,a2,a3; b2,b3) with the implicit normalization b1 = q
 defines the companion system Phi(qz) = A(z) Phi(z).  This module builds A,
-classifies the local structure at 0 and infinity (Fuchsian / non-resonant /
-logarithmic), assembles the local gauge matrices F and the character matrices
-e_J so that Y = F e_J solves the system, continues solutions beyond the series
-radius by iterating the functional equation, and computes the logarithmic
-degeneration limits (b -> (q,q,q) at 0, a -> (a,a,a) at infinity) by an
-epsilon-ladder with Richardson extrapolation.
+decides which exponent ratios lie on q^Z (the SpiralPattern that local
+solutions, the closed forms' genericity and the case tag all read), builds
+the local gauge matrices F and character matrices e_J with Y = F e_J,
+continues them beyond the series radius by the functional equation, and
+takes the logarithmic limits (b -> (q,q,q) at 0, a -> (a,a,a) at infinity)
+by an epsilon-ladder with Richardson extrapolation.
 
 Every local exponent matrix J and its Dunford pair J = D U are read off the
 parameters: diag(1, q/b2, q/b3) or the unipotent J_q at 0, diag(1/a_i) or
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,15 +33,14 @@ from .errors import (
 )
 from .mat3 import DunfordPair
 from .qseries import lq, qcharacter, qhyper_series
-from .spiral import decompose, in_q_spiral
+from .spiral import SpiralVerdict, decompose, in_q_spiral
 
 __all__ = [
     "HyperParams",
     "LocalData",
-    "SideVerdict",
-    "SystemVerdicts",
+    "SpiralPattern",
     "system_matrix",
-    "check_fuchsian_nonresonant",
+    "spiral_pattern",
     "local_solution_zero",
     "local_solution_infinity",
     "local_solution_zero_log",
@@ -108,19 +107,21 @@ class HyperParams:
         return all(abs(u - 1.0) < ctx.eps_spiral for u in us + vs)
 
 
-@dataclass(frozen=True)
-class SideVerdict:
-    """Local structure at one singular point."""
+class SpiralPattern(NamedTuple):
+    """The q^Z membership verdicts of the six exponent ratios of an equation:
+    a1/a2, a1/a3, a2/a3 at infinity and b2/q, b3/q, b2/b3 at 0."""
 
-    fuchsian: bool
-    nonresonant: bool
-    logarithmic: bool
+    infinity: tuple[SpiralVerdict, SpiralVerdict, SpiralVerdict]
+    zero: tuple[SpiralVerdict, SpiralVerdict, SpiralVerdict]
 
+    def merged(self, side: str) -> bool:
+        """Some exponent ratio on that side is 1 (k = 0): a repeated exponent
+        of a companion matrix, hence a logarithmic (Jordan) block."""
+        return any(v.member and v.k == 0 for v in getattr(self, side))
 
-@dataclass(frozen=True)
-class SystemVerdicts:
-    zero: SideVerdict
-    infinity: SideVerdict
+    def resonant(self, side: str) -> bool:
+        """Some exponent ratio on that side is q^k with k != 0."""
+        return any(v.member and v.k != 0 for v in getattr(self, side))
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,6 @@ class LocalData:
     F: Callable[[complex], np.ndarray] = field(repr=False)
     radius: float
     logarithmic: bool
-    resonant: bool
 
 
 def _denominator(p: HyperParams, z: complex, ctx: QContext) -> complex:
@@ -165,31 +165,15 @@ def system_matrix(p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:
     )
 
 
-def _side_verdict(eigvals: Sequence[complex], ctx: QContext) -> SideVerdict:
-    nonres = True
-    log = False
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            hit = in_q_spiral(eigvals[i] / eigvals[j], ctx)
-            if hit.member and hit.k != 0:
-                nonres = False
-            if hit.member and hit.k == 0 and i < j:
-                # A companion matrix is non-derogatory, so a repeated
-                # eigenvalue always carries a nontrivial Jordan block.
-                log = True
-    fuchs = all(abs(v) > 0 for v in eigvals)
-    return SideVerdict(fuchsian=fuchs, nonresonant=nonres, logarithmic=log)
-
-
-def check_fuchsian_nonresonant(p: HyperParams, ctx: QContext) -> SystemVerdicts:
-    """Local spectral structure: eigenvalues {1, q/b2, q/b3} at 0 and
-    {1/a1, 1/a2, 1/a3} at infinity, tested pairwise against q^Z."""
-    q = ctx.q
-    e0 = (1.0 + 0j, q / p.b2, q / p.b3)
-    einf = tuple(1.0 / v for v in p.a)
-    return SystemVerdicts(zero=_side_verdict(e0, ctx), infinity=_side_verdict(einf, ctx))
+def spiral_pattern(p: HyperParams, ctx: QContext) -> SpiralPattern:
+    """The exponents are {1/a1, 1/a2, 1/a3} at infinity and {1, q/b2, q/b3}
+    at 0; their pairwise ratios, up to inversion, are tested against q^Z."""
+    a1, a2, a3 = p.a
+    q, b2, b3 = ctx.q, p.b2, p.b3
+    return SpiralPattern(
+        infinity=tuple(in_q_spiral(c, ctx) for c in (a1 / a2, a1 / a3, a2 / a3)),
+        zero=tuple(in_q_spiral(c, ctx) for c in (b2 / q, b3 / q, b2 / b3)),
+    )
 
 
 def _series_ctx(ctx: QContext) -> QContext:
@@ -243,10 +227,10 @@ def _f_infinity_series(p: HyperParams, ctx: QContext) -> Callable[[complex], np.
 
 def local_solution_zero(p: HyperParams, ctx: QContext) -> LocalData:
     """Generic local solution at 0 (non-resonant, non-logarithmic)."""
-    v = check_fuchsian_nonresonant(p, ctx).zero
-    if not v.nonresonant:
+    pattern = spiral_pattern(p, ctx)
+    if pattern.resonant("zero"):
         raise ResonantError("system is resonant at 0; shift parameters first")
-    if v.logarithmic:
+    if pattern.merged("zero"):
         raise ResonantError(
             "logarithmic at 0; use local_solution_zero_log for b2 = b3 = q"
         )
@@ -261,16 +245,15 @@ def local_solution_zero(p: HyperParams, ctx: QContext) -> LocalData:
         F=_f_zero_series(p, ctx),
         radius=0.5,
         logarithmic=False,
-        resonant=False,
     )
 
 
 def local_solution_infinity(p: HyperParams, ctx: QContext) -> LocalData:
     """Generic local solution at infinity (non-resonant, non-logarithmic)."""
-    v = check_fuchsian_nonresonant(p, ctx).infinity
-    if not v.nonresonant:
+    pattern = spiral_pattern(p, ctx)
+    if pattern.resonant("infinity"):
         raise ResonantError("system is resonant at infinity; shift parameters first")
-    if v.logarithmic:
+    if pattern.merged("infinity"):
         raise ResonantError(
             "logarithmic at infinity; use local_solution_infinity_log for a = (a,a,a)"
         )
@@ -287,7 +270,6 @@ def local_solution_infinity(p: HyperParams, ctx: QContext) -> LocalData:
         F=_f_infinity_series(p, ctx),
         radius=radius,
         logarithmic=False,
-        resonant=False,
     )
 
 
@@ -444,9 +426,9 @@ def _perturbed_b(p: HyperParams, eps: float, ctx: QContext) -> HyperParams:
     return HyperParams(a=p.a, b2=ctx.q * (1.0 + eps), b3=ctx.q * (1.0 + 2.0 * eps))
 
 
-def _check_log_zero_params(p: HyperParams, ctx: QContext) -> None:
-    for j, bj in ((2, p.b2), (3, p.b3)):
-        if abs(bj / ctx.q - 1.0) > ctx.eps_spiral:
+def _check_log_zero_params(pattern: SpiralPattern) -> None:
+    for j, v in zip((2, 3), pattern.zero):
+        if not (v.member and v.k == 0):
             raise DomainError(f"b{j} must equal q for the logarithmic limit at 0")
 
 
@@ -455,7 +437,7 @@ def local_solution_zero_log(p: HyperParams, ctx: QContext) -> LocalData:
 
     F is the eps-ladder limit of F(a, b(eps); z) times the frame multiplier,
     Richardson-extrapolated; the exponent matrix is the unipotent J_q."""
-    _check_log_zero_params(p, ctx)
+    _check_log_zero_params(spiral_pattern(p, ctx))
     q = ctx.q
     Jq = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=complex)
 
@@ -477,7 +459,6 @@ def local_solution_zero_log(p: HyperParams, ctx: QContext) -> LocalData:
         F=F,
         radius=0.5,
         logarithmic=True,
-        resonant=False,
     )
 
 
@@ -505,12 +486,11 @@ def _perturbed_a(p: HyperParams, eps: float) -> HyperParams:
     )
 
 
-def _check_log_infinity_params(p: HyperParams, ctx: QContext) -> None:
-    for i in (1, 2):
-        if abs(p.a[i] / p.a[0] - 1.0) > ctx.eps_spiral:
-            raise DomainError("a must be a constant triple for the logarithmic limit at infinity")
-    for j, bj in ((2, p.b2), (3, p.b3)):
-        if abs(bj / ctx.q - 1.0) > ctx.eps_spiral:
+def _check_log_infinity_params(pattern: SpiralPattern) -> None:
+    if not all(v.member and v.k == 0 for v in pattern.infinity[:2]):
+        raise DomainError("a must be a constant triple for the logarithmic limit at infinity")
+    for j, v in zip((2, 3), pattern.zero):
+        if not (v.member and v.k == 0):
             raise DomainError(f"b{j} must equal q in the doubly logarithmic case")
 
 
@@ -518,7 +498,7 @@ def local_solution_infinity_log(p: HyperParams, ctx: QContext) -> LocalData:
     """Local solution at infinity for a = (a,a,a), b = (q,q,q).
 
     F is the eps-ladder limit of F(a(eps), q; z) V(q a(eps))^{-1} W(a)."""
-    _check_log_infinity_params(p, ctx)
+    _check_log_infinity_params(spiral_pattern(p, ctx))
     a = p.a[0]
     Jinf = np.array(
         [[1.0 / a, 1, 0], [0, 1.0 / a, 1], [0, 0, 1.0 / a]], dtype=complex
@@ -551,5 +531,4 @@ def local_solution_infinity_log(p: HyperParams, ctx: QContext) -> LocalData:
         F=F,
         radius=radius,
         logarithmic=True,
-        resonant=False,
     )

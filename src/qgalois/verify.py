@@ -149,7 +149,7 @@ def suite_detminors(
     p = random_case_i_params(rng, ctx)
     det_res = minor_res = laplace_res = 0.0
     for z in random_annulus_points(rng, n_points, ctx):
-        B = cn.twisted_birkhoff(p, z, ctx, "closed_form")
+        B = cn.twisted_birkhoff(p, z, ctx)
         check = cn.check_det_minors(p, B, z, ctx)
         f = check.det_closed_form
         det_res = max(det_res, check.det_mismatch)

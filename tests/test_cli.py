@@ -97,24 +97,6 @@ def test_output_deterministic(capsys):
     assert out1 == out2
 
 
-def test_env_eps_override(capsys, monkeypatch):
-    monkeypatch.setenv("QGALOIS_EPS", "trunc=1e-8,spiral=1e-6")
-    code, out, _ = _run(
-        capsys, "classify", "--q", "0.5",
-        "--a", "q^0.1,q^0.2,q^0.4", "--b", "q,q^0.15,q^0.33",
-    )
-    assert code == 0
-
-
-def test_env_eps_bad_key(capsys, monkeypatch):
-    monkeypatch.setenv("QGALOIS_EPS", "bogus=1e-8")
-    code, _, err = _run(
-        capsys, "classify", "--q", "0.5",
-        "--a", "q^0.1,q^0.2,q^0.4", "--b", "q,q^0.15,q^0.33",
-    )
-    assert code == 1
-
-
 def test_text_format(capsys):
     code, out, _ = _run(capsys, "verify", "--q", "0.5", "--suite", "theta", "--format", "text")
     assert code == 0

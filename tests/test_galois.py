@@ -251,9 +251,9 @@ def test_classify_case_i_evaluates_one_batch(ctx, monkeypatch):
     real_twisted, real_samples = connection.twisted_birkhoff, galois.omega_samples
     batches, sample_calls = [], []
 
-    def twisted(p, z, ctx, method="closed_form"):
+    def twisted(p, z, ctx):
         batches.append(np.shape(z))
-        return real_twisted(p, z, ctx, method)
+        return real_twisted(p, z, ctx)
 
     def samples(p, ctx, per_circle=8):
         sample_calls.append(p)

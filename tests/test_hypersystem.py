@@ -11,7 +11,6 @@ from qgalois import (
     DunfordPair,
     HyperParams,
     QContext,
-    check_fuchsian_nonresonant,
     e_matrix,
     fmatrix_at,
     gauge_residual,
@@ -20,6 +19,7 @@ from qgalois import (
     local_solution_zero,
     local_solution_zero_log,
     solution_matrix,
+    spiral_pattern,
     system_matrix,
 )
 
@@ -53,22 +53,26 @@ def test_local_exponents(ctx, p):
 
 
 def test_verdicts_generic(ctx, p):
-    v = check_fuchsian_nonresonant(p, ctx)
-    assert v.zero.fuchsian and v.zero.nonresonant and not v.zero.logarithmic
-    assert v.infinity.fuchsian and v.infinity.nonresonant and not v.infinity.logarithmic
+    pattern = spiral_pattern(p, ctx)
+    assert not any(v.member for v in pattern.zero + pattern.infinity)
+    for side in ("zero", "infinity"):
+        assert not pattern.merged(side) and not pattern.resonant(side)
 
 
 def test_verdict_resonant(ctx):
     # b3 = q^2 * b2 makes the exponents at 0 resonate
     pr = HyperParams.from_exponents(ctx, (0.13, 0.37, 0.71), (0.29, 2.29))
-    v = check_fuchsian_nonresonant(pr, ctx)
-    assert not v.zero.nonresonant
+    pattern = spiral_pattern(pr, ctx)
+    assert pattern.resonant("zero") and not pattern.merged("zero")
+    assert pattern.zero[2].member and pattern.zero[2].k == -2  # b2/b3 = q^-2
+    assert not pattern.resonant("infinity")
 
 
 def test_verdict_logarithmic(ctx):
     pl = HyperParams(a=(0.7, 0.8, 0.9), b2=0.3, b3=0.3)
-    v = check_fuchsian_nonresonant(pl, ctx)
-    assert v.zero.logarithmic
+    pattern = spiral_pattern(pl, ctx)
+    assert pattern.merged("zero") and not pattern.resonant("zero")
+    assert not pattern.merged("infinity")
 
 
 def test_gauge_identity_zero(ctx, p, rng):
