@@ -1,8 +1,9 @@
 """Numerical toolkit for order-3 generalized q-hypergeometric equations.
 
 Local fundamental solutions at 0 and infinity, Birkhoff and twisted connection
-matrices with closed-form determinant/minor oracles, density-theorem generator
-sets, and descriptor-level classification of the difference Galois group.
+matrices with closed-form determinant/minor oracles, and descriptor-level
+classification of the difference Galois group with its density-theorem
+generators.
 """
 
 from .context import QContext, TruncationReport
@@ -20,7 +21,6 @@ from .errors import (
     SpiralCollisionError,
     SingularSolutionError,
     BasePointSingularError,
-    InsufficientSamplesError,
 )
 from .spiral import (
     SpiralPoint,
@@ -45,7 +45,6 @@ from .qseries import (
     qhyper_series,
 )
 from .mat3 import (
-    DunfordPair,
     rho,
     psl2_relation_residual,
     psl2_eigenvalue_check,
@@ -72,8 +71,6 @@ from .connection import (
     pochhammer_coefficient,
     core_closed_form,
     core_numeric,
-    birkhoff_numeric,
-    birkhoff_closed_form,
     twisted_birkhoff,
     det_formula,
     minor_formula,
@@ -88,9 +85,7 @@ from .galois import (
     classify_case,
     base_point,
     omega_samples,
-    generators,
     fit_relation_residual,
-    pgl2_obstruction,
     classify,
 )
 from .verify import CheckResult, run_suite, SUITES

@@ -30,7 +30,6 @@ class RunConfig:
     """Parsed common options shared by all subcommands."""
 
     ctx: QContext
-    seed: int
     fmt: str
 
 
@@ -55,7 +54,7 @@ def _parse_triple(text: str, q: complex, name: str, count: int) -> tuple[complex
 def _make_config(args: argparse.Namespace) -> RunConfig:
     q = complex(args.q) if "," not in args.q else complex(*map(float, args.q.split(",")))
     ctx = QContext(q, eps_trunc=args.eps_trunc, eps_spiral=args.eps_spiral)
-    return RunConfig(ctx=ctx, seed=args.seed, fmt=args.format)
+    return RunConfig(ctx=ctx, fmt=args.format)
 
 
 def _params(args: argparse.Namespace, ctx: QContext) -> HyperParams:
@@ -151,8 +150,8 @@ def cmd_connection(config: RunConfig, p: HyperParams, zs: list[complex]) -> int:
     return 0
 
 
-def cmd_verify(config: RunConfig, suite: str) -> int:
-    results = vf.run_suite(suite, config.ctx, seed=config.seed)
+def cmd_verify(config: RunConfig, suite: str, seed: int) -> int:
+    results = vf.run_suite(suite, config.ctx, seed=seed)
     payload = {
         "command": "verify",
         "suite": suite,
@@ -184,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--q", default="0.5", help="base q, 0 < |q| < 1 ('re,im' for complex)")
         sp.add_argument("--eps-trunc", type=float, default=1e-12, help="series tail tolerance")
         sp.add_argument("--eps-spiral", type=float, default=1e-9, help="spiral membership tolerance")
-        sp.add_argument("--seed", type=int, default=0, help="RNG seed for sampled checks")
         sp.add_argument("--format", choices=("json", "text"), default="json", help="output format")
 
     def with_params(sp: argparse.ArgumentParser) -> None:
@@ -208,6 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(vf.SUITES) + ["all"],
         help="which suite to run",
     )
+    sp.add_argument("--seed", type=int, default=0, help="RNG seed for the sampled checks")
     return parser
 
 
@@ -228,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
                 if s.strip()
             ]
             return cmd_connection(config, _params(args, config.ctx), zs)
-        return cmd_verify(config, args.suite)
+        return cmd_verify(config, args.suite, args.seed)
     except (ValueError, QGaloisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

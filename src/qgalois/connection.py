@@ -1,11 +1,12 @@
 """Birkhoff and twisted connection matrices.
 
-The Birkhoff matrix P = Y_infinity^{-1} Y_zero has elliptic entries and is
-available two ways: numerically from the local fundamental solutions, and in
-closed form from the Barnes-Mellin-Watson summation as a matrix of theta
-quotients.  The twisted matrix multiplies the theta-quotient core by the
-spiral-power weights (1/z)^(-alpha_i) and z^(-beta_j); its determinant and all
-nine 2x2 minors have closed forms implemented here as independent oracles.
+The Birkhoff matrix P = Y_infinity^{-1} Y_zero has elliptic entries; its core
+F_infinity^{-1} F_zero comes numerically from the local fundamental solutions
+or in closed form from the Barnes-Mellin-Watson summation as a matrix of
+theta quotients, and connection_eval forms P from either.  The twisted matrix
+(formed only in _Equation.twisted) multiplies the core by the spiral-power
+weights (1/z)^(-alpha_i) and z^(-beta_j); its determinant and all nine 2x2
+minors have closed forms implemented here as independent oracles.
 
 Every q-Pochhammer factor in these closed forms depends on the parameters
 only, as do the local solutions.  That data is computed once per equation and
@@ -63,8 +64,6 @@ __all__ = [
     "pochhammer_coefficient",
     "core_closed_form",
     "core_numeric",
-    "birkhoff_numeric",
-    "birkhoff_closed_form",
     "twisted_birkhoff",
     "det_formula",
     "minor_formula",
@@ -122,6 +121,12 @@ class _Equation:
         else:
             locinf = local_solution_infinity(p, ctx)
         return loc0, locinf
+
+    @functools.cached_property
+    def logarithmic(self) -> bool:
+        """The exponents on one side form a full Jordan block, the pattern
+        the logarithmic limit constructions build."""
+        return self.pattern.full_block("zero") or self.pattern.full_block("infinity")
 
     @functools.cached_property
     def collision(self) -> str | None:
@@ -213,9 +218,21 @@ class _Equation:
 
     def twisted(self, z, core: np.ndarray) -> np.ndarray:
         """diag((1/z)^(-alpha)) core diag(z^(-beta)), for cores of shape
-        z.shape + (3, 3)."""
+        z.shape + (3, 3).  In the logarithmic cases, at one z, the unipotent
+        parts stay explicit: diag((1/z)^(-alpha)) (U_inf^l_q(z))^{-1} core
+        times U_0^l_q(z) (block at 0) or diag(z^(-beta))."""
         rows, cols = self.weights(z)
-        return rows[..., :, None] * core * cols[..., None, :]
+        if not self.logarithmic:
+            return rows[..., :, None] * core * cols[..., None, :]
+        loc0, locinf = self.local_pair
+        # left: psi_infinity(D_inf) e_inf^{-1} = diag(1/g_{1/z}(a_i)) (U_inf^l_q(z))^{-1}
+        left = rows[:, None] * np.linalg.inv(_unipotent_power(locinf.U, z, self.ctx))
+        # right: e_0 psi_zero(D_0)^{-1}; D_0 = I in the logarithmic-at-0 cases
+        if loc0.logarithmic:
+            right = _unipotent_power(loc0.U, z, self.ctx)
+        else:
+            right = np.diag(cols)
+        return left @ core @ right
 
     def det_and_minors(self, z: complex, pairs) -> tuple[complex, list[complex]]:
         """Closed forms at one z of the twisted determinant and of the minors
@@ -305,27 +322,20 @@ def core_numeric(p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:
 def _e_pair(p: HyperParams, z: complex, ctx: QContext) -> tuple[np.ndarray, np.ndarray]:
     """Character matrices e_J(z) of the local solutions at infinity and at 0."""
     loc0, locinf = local_pair(p, ctx)
-    return e_matrix(locinf.dunford, z, "infinity", ctx), e_matrix(loc0.dunford, z, "zero", ctx)
-
-
-def birkhoff_numeric(p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:
-    """P(z) = Y_infinity(z)^{-1} Y_zero(z); entries are elliptic."""
-    ei, e0 = _e_pair(p, z, ctx)
-    return np.linalg.solve(ei, core_numeric(p, z, ctx)) @ e0
-
-
-def birkhoff_closed_form(p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:
-    """P(z) from the Barnes-Mellin-Watson theta-quotient core."""
-    ei, e0 = _e_pair(p, z, ctx)
-    return np.linalg.solve(ei, core_closed_form(p, z, ctx)) @ e0
+    return e_matrix(locinf, z, ctx), e_matrix(loc0, z, ctx)
 
 
 def twisted_birkhoff(p: HyperParams, z, ctx: QContext) -> np.ndarray:
     """Twisted connection matrix
     diag((1/z)^(-alpha)) [p_ij theta_q(q a_i z/b_j)/theta_q(z)] diag(z^(-beta)).
 
-    z may be an array: the matrices at all points come from one batched
-    closed-form evaluation, with shape z.shape + (3, 3)."""
+    z may be an array, giving shape z.shape + (3, 3): one batched closed-form
+    evaluation, or connection_logarithmic at each point in the logarithmic
+    cases."""
+    eq = _equation(p, ctx)
+    if eq.logarithmic:
+        mats = [connection_logarithmic(p, complex(w), ctx) for w in np.ravel(z)]
+        return np.reshape(mats, np.shape(z) + (3, 3))
     eq = _generic(p, ctx)
     return eq.twisted(z, eq.core(z))
 
@@ -383,46 +393,37 @@ def check_det_minors(p: HyperParams, B: np.ndarray, z: complex, ctx: QContext) -
 
 
 def connection_logarithmic(p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:
-    """Twisted connection matrix in the logarithmic cases.
+    """Twisted connection matrix at one z in the logarithmic cases.
 
     Covers b = (q,q,q) with distinct a (unipotent block at 0) and the doubly
-    logarithmic a = (a,a,a), b = (q,q,q).  Built from the epsilon-ladder limit
-    gauge matrices; the unipotent twist parts are kept explicit so the result
-    matches the displayed forms with row weights (1/z)^(-alpha_i).
+    logarithmic a = (a,a,a), b = (q,q,q), from the numeric core of the
+    epsilon-ladder limit gauge matrices (see _Equation.twisted).
     """
     loc0, locinf = local_pair(p, ctx)
     if not (loc0.logarithmic or locinf.logarithmic):
         raise DomainError("parameters are not in a logarithmic case")
-    core = core_numeric(p, z, ctx)
-    rows, cols = _equation(p, ctx).weights(z)
-    # left: psi_infinity(D_inf) e_inf^{-1} = diag(1/g_{1/z}(a_i)) (U_inf^l_q(z))^{-1}
-    left = rows[:, None] * np.linalg.inv(_unipotent_power(locinf.dunford.U, z, ctx))
-    # right: e_0 psi_zero(D_0)^{-1}; D_0 = I in the logarithmic-at-0 cases
-    if loc0.logarithmic:
-        right = _unipotent_power(loc0.dunford.U, z, ctx)
-    else:
-        right = np.diag(cols)
-    return left @ core @ right
+    return _equation(p, ctx).twisted(z, core_numeric(p, z, ctx))
 
 
 def connection_eval(
     p: HyperParams, z: complex, ctx: QContext, method: str = "both"
 ) -> ConnectionEval:
-    """P and the twisted matrix at z; with method='both' also the cross-method
-    disagreement of P (relative, entrywise max).  The core and the character
-    matrices are evaluated once and shared by P and the twisted matrix."""
-    ei, e0 = _e_pair(p, z, ctx)
-    if method == "both":
-        Pn = np.linalg.solve(ei, core_numeric(p, z, ctx)) @ e0
-    if method == "numeric":
-        core = core_numeric(p, z, ctx)
-    elif method in ("both", "closed_form"):
-        core = core_closed_form(p, z, ctx)
-    else:
+    """P(z) = Y_infinity(z)^{-1} Y_zero(z) and the twisted matrix at z, from
+    the numeric or the closed-form core; 'both' uses the closed form and also
+    reports the cross-method disagreement of P (relative, entrywise max).
+    The closed form's genericity check comes before any numeric work."""
+    if method not in ("both", "numeric", "closed_form"):
         raise DomainError(f"unknown method {method!r}")
+    if method != "numeric":
+        _generic(p, ctx)
+    ei, e0 = _e_pair(p, z, ctx)
+    if method != "closed_form":
+        numeric = core_numeric(p, z, ctx)
+    core = numeric if method == "numeric" else core_closed_form(p, z, ctx)
     P = np.linalg.solve(ei, core) @ e0
     res = None
     if method == "both":
+        Pn = np.linalg.solve(ei, numeric) @ e0
         res = float(np.max(np.abs(Pn - P)) / max(np.max(np.abs(P)), 1e-300))
     return ConnectionEval(
         z=z,

@@ -51,7 +51,3 @@ class SingularSolutionError(QGaloisError, ArithmeticError):
 
 class BasePointSingularError(QGaloisError, ValueError):
     """The chosen base point sits on a zero/pole spiral of the connection matrix."""
-
-
-class InsufficientSamplesError(QGaloisError, ValueError):
-    """Not enough sample points for a least-squares fit."""

@@ -1,6 +1,6 @@
 """Difference Galois group machinery: irreducibility, parameter normalization,
-local-case taxonomy, density-theorem generators, the PGl2 obstruction residual,
-and the main classifier.
+local-case taxonomy, and the classifier with its density-theorem generators
+and PGl2 obstruction residual.
 
 The classifier is descriptor-level: the group is never computed as a variety.
 The GL3 / extended-SL3 branch is a pure arithmetic condition on the parameter
@@ -10,10 +10,9 @@ corroboration, reported alongside.
 Both come from the twisted connection matrix at one sample set, built once
 per classification: the base point, the circle samples of the connection
 component and the two points beside the zero spiral of the obstruction
-relation.  The matrices at all of them are evaluated once, in one batch in
-case (i) and one ladder evaluation per point in cases (iii)/(iv), and feed
-both the generators and the obstruction fit.  Sample points are ranked by
-their clearance from the singular spirals, scanned as arrays.
+relation.  One twisted_birkhoff call evaluates the matrices at all of them
+and they feed both the generators and the obstruction fit.  Sample points are
+ranked by their clearance from the singular spirals, scanned as arrays.
 """
 
 from __future__ import annotations
@@ -27,12 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .context import QContext
-from .errors import (
-    BasePointSingularError,
-    DomainError,
-    InsufficientSamplesError,
-    QGaloisError,
-)
+from .errors import BasePointSingularError, DomainError, QGaloisError
 from .hypersystem import HyperParams, spiral_pattern
 from .spiral import decompose, gamma1, gamma2, in_q_spiral, spiral_clearance
 from . import connection
@@ -45,10 +39,7 @@ __all__ = [
     "classify_case",
     "base_point",
     "omega_samples",
-    "generators",
     "fit_relation_residual",
-    "obstruction_samples",
-    "pgl2_obstruction",
     "classify",
 ]
 
@@ -192,17 +183,6 @@ def classify_case(p: HyperParams, ctx: QContext) -> str:
     return "ii"  # one merged a-pair: handled as the merged-pair case (ii)
 
 
-def _twisted_matrices(
-    p: HyperParams, case: str, zs: Sequence[complex], ctx: QContext
-) -> np.ndarray:
-    """Twisted connection matrices at the points zs, shape (len(zs), 3, 3):
-    one batched closed-form evaluation, or one ladder evaluation per point in
-    the logarithmic cases."""
-    if case in ("iii", "iv"):
-        return np.array([connection.connection_logarithmic(p, z, ctx) for z in zs])
-    return connection.twisted_birkhoff(p, np.asarray(zs, dtype=complex), ctx)
-
-
 def _det_zero_anchor(p: HyperParams, ctx: QContext) -> complex:
     """The twisted determinant vanishes exactly on (b2 b3 / (q^2 a1 a2 a3)) q^Z."""
     a1, a2, a3 = p.a
@@ -242,23 +222,21 @@ def _diag(values: Sequence[complex]) -> np.ndarray:
 
 
 def _local_unipotents(p: HyperParams, case: str, ctx: QContext) -> tuple[np.ndarray, np.ndarray]:
-    """Unipotent parts U^(0), U^(infinity) of the local data, in the explicit
-    forms the case displays use."""
+    """Unipotent parts U^(0), U^(infinity) of the local data: those of the
+    local solutions in the logarithmic cases, the merged-b block at 0 in
+    case (ii), and I otherwise."""
     eye = np.eye(3, dtype=complex)
-    u0 = eye
-    ui = eye
     if case == "ii":
-        u0 = np.array([[1, 0, 0], [0, 1, p.b2 / ctx.q], [0, 0, 1]], dtype=complex)
-    elif case in ("iii", "iv"):
-        u0 = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=complex)
-    if case == "iv":
-        a = p.a[0]
-        ui = np.array([[1, a, 0], [0, 1, a], [0, 0, 1]], dtype=complex)
-    return u0, ui
+        return np.array([[1, 0, 0], [0, 1, p.b2 / ctx.q], [0, 0, 1]], dtype=complex), eye
+    if case in ("iii", "iv"):
+        loc0, locinf = connection.local_pair(p, ctx)
+        return loc0.U, locinf.U
+    return eye, eye
 
 
 def _local_generators(p: HyperParams, case: str, ctx: QContext) -> list[tuple[str, np.ndarray]]:
-    """Generators 1.a, 1.a' and 1.b: the local data at 0."""
+    """Generators 1.a, 1.a' and 1.b: the exponent and unit-circle projections
+    of the b-parameters, and the local unipotent at 0."""
     b = p.b(ctx)
     return [
         ("1.a", _diag([gamma2(bj, ctx) for bj in b])),
@@ -275,8 +253,8 @@ def _check_base_point(p: HyperParams, y0: complex, ctx: QContext) -> None:
 def _connection_generators(
     p: HyperParams, case: str, y0: complex, mats: np.ndarray, ctx: QContext
 ) -> list[tuple[str, np.ndarray]]:
-    """Generators 2.a, 2.a', 2.b and 3.k from the twisted matrices at the base
-    point y0 (mats[0]) and at the connection samples (mats[1:])."""
+    """Generators 2.a, 2.a', 2.b (the local data at infinity conjugated by the
+    twisted matrix mats[0] at the base point y0) and 3.k = mats[0]^{-1} mats[k+1]."""
     P0 = mats[0]
     if abs(np.linalg.det(P0)) < 1e-10 * max(np.linalg.norm(P0), 1e-300) ** 3:
         raise BasePointSingularError(f"twisted matrix numerically singular at {y0}")
@@ -294,31 +272,6 @@ def _connection_generators(
         samples = np.linalg.solve(P0, mats[1:])
         out.extend((f"3.{k}", M) for k, M in enumerate(samples))
     return out
-
-
-def generators(
-    p: HyperParams,
-    y0: complex,
-    zs: Sequence[complex],
-    ctx: QContext,
-) -> list[tuple[str, np.ndarray]]:
-    """Density-theorem generator matrices.
-
-    1.a: the two semi-simple local generators at 0 (unit-circle and exponent
-    projections of the b-parameters); 1.b: the local unipotent at 0; 2.a/2.b:
-    the analogous matrices at infinity conjugated by the twisted connection
-    matrix at the base point; 3.: connection-component samples
-    inverse-twisted(y0) * twisted(z).  For the merged-b case (ii) only the
-    local generators at 0 are produced (the connection data has no closed
-    construction there and the classification does not need it).
-    """
-    case = classify_case(p, ctx)
-    out = _local_generators(p, case, ctx)
-    if case == "ii":
-        return out
-    _check_base_point(p, y0, ctx)
-    mats = _twisted_matrices(p, case, [y0, *zs], ctx)
-    return out + _connection_generators(p, case, y0, mats, ctx)
 
 
 def fit_relation_residual(
@@ -349,36 +302,16 @@ def _relation_zero_points(p: HyperParams, case: str, ctx: QContext) -> list[comp
     return [sp.u * ctx.qpow(w) * (1.0 + offset) for offset in (1e-3, -1e-3)]
 
 
-def obstruction_samples(p: HyperParams, ctx: QContext) -> list[complex]:
-    """Sample set for the obstruction fit: the connection-component circle
-    samples plus points adjacent to the spiral where the relation's left side
-    vanishes (qa_1/b_2 q^Z for distinct b; 1/a_i q^Z in the merged cases)."""
-    return omega_samples(p, ctx) + _relation_zero_points(p, classify_case(p, ctx), ctx)
-
-
 def _relation_residual(case: str, mats: np.ndarray) -> float:
     """Misfit of the degree-2 entry relation a PSl2-conjugate twisted matrix
     would satisfy over the matrices mats: entry2^2 = c * entry1 * entry3 along
-    the relevant row (row 1 generically, row 3 in the doubly merged case)."""
+    the relevant row (row 1 generically, row 3 in the doubly merged case).
+    A residual well above zero rules out (the normalizer of) the
+    symmetric-square image of SL2, forcing the derived neutral component to be
+    the full SL3; a near-zero residual is inconclusive."""
     row = 2 if case == "iv" else 0
     _, residual = fit_relation_residual(mats[:, row, 1] ** 2, mats[:, row, 0] * mats[:, row, 2])
     return residual
-
-
-def pgl2_obstruction(p: HyperParams, zs: Sequence[complex], ctx: QContext) -> float:
-    """Misfit of the PSl2 entry relation over the samples.
-
-    A residual well above zero certifies that the twisted matrix cannot be
-    brought into (the normalizer of) the symmetric-square image of SL2 by
-    constant and triangular twists, which forces the derived neutral component
-    to be the full SL3.  A near-zero residual is inconclusive.
-    """
-    if len(zs) < 8:
-        raise InsufficientSamplesError(f"need >= 8 samples, got {len(zs)}")
-    case = classify_case(p, ctx)
-    if case == "ii":
-        raise DomainError("no twisted-matrix construction for the merged-b case")
-    return _relation_residual(case, _twisted_matrices(p, case, zs, ctx))
 
 
 def _rational_part(x: float) -> Fraction | None:
@@ -452,7 +385,7 @@ def classify(p: HyperParams, ctx: QContext) -> GaloisReport:
             zs = omega_samples(pn, ctx)
             _check_base_point(pn, y0, ctx)
             points = [y0, *zs, *_relation_zero_points(pn, case, ctx)]
-            mats = _twisted_matrices(pn, case, points, ctx)
+            mats = connection.twisted_birkhoff(pn, points, ctx)
             connection_gens = _connection_generators(pn, case, y0, mats[: len(zs) + 1], ctx)
             gens = tuple(_local_generators(pn, case, ctx) + connection_gens)
             residual = _relation_residual(case, mats[1:])

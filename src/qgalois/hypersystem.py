@@ -9,10 +9,11 @@ continues them beyond the series radius by the functional equation, and
 takes the logarithmic limits (b -> (q,q,q) at 0, a -> (a,a,a) at infinity)
 by an epsilon-ladder with Richardson extrapolation.
 
-Every local exponent matrix J and its Dunford pair J = D U are read off the
+Every local exponent matrix is J = diag(exponents) U, read off the
 parameters: diag(1, q/b2, q/b3) or the unipotent J_q at 0, diag(1/a_i) or
-(1/a) (a J_infinity) at infinity, so D is always diagonal.  e_J is then
-e_D U^(l_q(z)), with e_D from one q-character call over the diagonal of D.
+(1/a) (a J_infinity) at infinity.  LocalData stores J, the exponents and the
+unipotent part U; e_J is then e_D U^(l_q(z)), with e_D from one q-character
+call over the exponents.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .errors import (
     PoleError,
     ResonantError,
 )
-from .mat3 import DunfordPair
 from .qseries import lq, qcharacter, qhyper_series
 from .spiral import SpiralVerdict, decompose, in_q_spiral
 
@@ -123,6 +123,13 @@ class SpiralPattern(NamedTuple):
         """Some exponent ratio on that side is q^k with k != 0."""
         return any(v.member and v.k != 0 for v in getattr(self, side))
 
+    def full_block(self, side: str) -> bool:
+        """All exponents on that side are equal (k = 0): b2 = b3 = q at 0,
+        a1 = a2 = a3 at infinity.  These are the only logarithmic patterns
+        the limit constructions build."""
+        verdicts = self.zero[:2] if side == "zero" else self.infinity
+        return all(v.member and v.k == 0 for v in verdicts)
+
 
 @dataclass(frozen=True)
 class LocalData:
@@ -134,12 +141,15 @@ class LocalData:
     """
 
     side: str  # "zero" | "infinity"
-    J: np.ndarray
-    dunford: DunfordPair  # J = D U with D diagonal
+    J: np.ndarray  # = diag(exponents) U
+    U: np.ndarray  # unipotent part, I unless logarithmic
     exponents: tuple[complex, ...]
     F: Callable[[complex], np.ndarray] = field(repr=False)
     radius: float
-    logarithmic: bool
+
+    @property
+    def logarithmic(self) -> bool:
+        return bool((self.U != np.eye(3)).any())
 
 
 def _denominator(p: HyperParams, z: complex, ctx: QContext) -> complex:
@@ -240,11 +250,10 @@ def local_solution_zero(p: HyperParams, ctx: QContext) -> LocalData:
     return LocalData(
         side="zero",
         J=J,
-        dunford=DunfordPair(D=J.copy(), U=np.eye(3, dtype=complex)),
+        U=np.eye(3, dtype=complex),
         exponents=exps,
         F=_f_zero_series(p, ctx),
         radius=0.5,
-        logarithmic=False,
     )
 
 
@@ -265,11 +274,10 @@ def local_solution_infinity(p: HyperParams, ctx: QContext) -> LocalData:
     return LocalData(
         side="infinity",
         J=J,
-        dunford=DunfordPair(D=J.copy(), U=np.eye(3, dtype=complex)),
+        U=np.eye(3, dtype=complex),
         exponents=exps,
         F=_f_infinity_series(p, ctx),
         radius=radius,
-        logarithmic=False,
     )
 
 
@@ -283,25 +291,20 @@ def _unipotent_power(U: np.ndarray, z: complex, ctx: QContext) -> np.ndarray:
     return np.eye(3, dtype=complex) + ell * N + (ell * (ell - 1.0) / 2.0) * (N @ N)
 
 
-def e_matrix(dp: DunfordPair, z: complex, side: str, ctx: QContext) -> np.ndarray:
-    """Character matrix e_J(z) = e_D(z) U^(l_q(z)) with e_J(qz) = J e_J(z), for
-    the Dunford pair J = D U of a local exponent matrix.
+def e_matrix(local: LocalData, z: complex, ctx: QContext) -> np.ndarray:
+    """Character matrix e_J(z) = e_D(z) U^(l_q(z)) with e_J(qz) = J e_J(z),
+    for the local exponent matrix J = diag(exponents) U of a local solution.
 
-    D must be diagonal (DomainError otherwise); e_D holds the q-characters of
-    its entries, from one qcharacter call (via 1/z and 1/lambda on the
-    infinity side).  The q-logarithm polynomial of the unipotent part
-    satisfies the required shift law on both sides.
+    e_D holds the q-characters of the exponents, from one qcharacter call
+    (via 1/z and 1/lambda on the infinity side).  The q-logarithm polynomial
+    of the unipotent part satisfies the required shift law on both sides.
     """
-    if side not in ("zero", "infinity"):
-        raise DomainError("side must be 'zero' or 'infinity'")
-    if not isinstance(dp, DunfordPair) or (dp.D - np.diag(np.diag(dp.D))).any():
-        raise DomainError("e_matrix needs a DunfordPair with diagonal D")
-    lam = np.diag(dp.D)
-    if side == "zero":
+    lam = np.array(local.exponents, dtype=complex)
+    if local.side == "zero":
         eD = qcharacter(lam, z, ctx)
     else:
         eD = qcharacter(1.0 / lam, 1.0 / z, ctx)
-    return eD[:, None] * _unipotent_power(dp.U, z, ctx)
+    return eD[:, None] * _unipotent_power(local.U, z, ctx)
 
 
 def _continued(
@@ -348,7 +351,7 @@ def fmatrix_at(local: LocalData, p: HyperParams, z: complex, ctx: QContext) -> n
 
 def solution_matrix(local: LocalData, p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:
     """Fundamental solution Y(z) = F(z) e_J(z)."""
-    return fmatrix_at(local, p, z, ctx) @ e_matrix(local.dunford, z, local.side, ctx)
+    return fmatrix_at(local, p, z, ctx) @ e_matrix(local, z, ctx)
 
 
 def gauge_residual(local: LocalData, p: HyperParams, z: complex, ctx: QContext) -> float:
@@ -454,11 +457,10 @@ def local_solution_zero_log(p: HyperParams, ctx: QContext) -> LocalData:
     return LocalData(
         side="zero",
         J=Jq,
-        dunford=DunfordPair(D=np.eye(3, dtype=complex), U=Jq.copy()),
+        U=Jq.copy(),
         exponents=(1.0 + 0j, 1.0 + 0j, 1.0 + 0j),
         F=F,
         radius=0.5,
-        logarithmic=True,
     )
 
 
@@ -487,7 +489,7 @@ def _perturbed_a(p: HyperParams, eps: float) -> HyperParams:
 
 
 def _check_log_infinity_params(pattern: SpiralPattern) -> None:
-    if not all(v.member and v.k == 0 for v in pattern.infinity[:2]):
+    if not pattern.full_block("infinity"):
         raise DomainError("a must be a constant triple for the logarithmic limit at infinity")
     for j, v in zip((2, 3), pattern.zero):
         if not (v.member and v.k == 0):
@@ -502,11 +504,6 @@ def local_solution_infinity_log(p: HyperParams, ctx: QContext) -> LocalData:
     a = p.a[0]
     Jinf = np.array(
         [[1.0 / a, 1, 0], [0, 1.0 / a, 1], [0, 0, 1.0 / a]], dtype=complex
-    )
-    # J_inf = (1/a) (a J_inf): D = I/a, and U unipotent with a above the diagonal
-    pair = DunfordPair(
-        D=np.eye(3, dtype=complex) / a,
-        U=np.array([[1, a, 0], [0, 1, a], [0, 0, 1]], dtype=complex),
     )
     W = _wmult_infinity(a)
     radius = 2.0 * abs(p.b2 * p.b3 / (a ** 3 * ctx.q))
@@ -526,9 +523,9 @@ def local_solution_infinity_log(p: HyperParams, ctx: QContext) -> LocalData:
     return LocalData(
         side="infinity",
         J=Jinf,
-        dunford=pair,
+        # J_inf = (1/a) (a J_inf): U unipotent with a above the diagonal
+        U=np.array([[1, a, 0], [0, 1, a], [0, 0, 1]], dtype=complex),
         exponents=(1.0 / a, 1.0 / a, 1.0 / a),
         F=F,
         radius=radius,
-        logarithmic=True,
     )

@@ -1,39 +1,19 @@
-"""3x3 complex matrix algebra: the multiplicative Dunford pair of a local
-exponent matrix, the symmetric-square embedding of SL2, the PSL2 membership
-predicates used by the classification logic, and 2x2 minors.
-
-The Dunford pairs are never computed numerically: every local exponent
-matrix of the order-3 system is known from the parameters, and so is its
-pair (see hypersystem).
+"""3x3 complex matrix algebra: the symmetric-square embedding of SL2, the
+PSL2 membership predicates used by the classification logic, and 2x2 minors.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadIndexError, DomainError, NotUnimodularError
 
 __all__ = [
-    "DunfordPair",
     "rho",
     "psl2_relation_residual",
     "psl2_eigenvalue_check",
     "minor2",
 ]
-
-
-@dataclass(frozen=True)
-class DunfordPair:
-    """Multiplicative Dunford decomposition M = D @ U.
-
-    D is semi-simple, U unipotent ((U-I)^3 = 0), and D, U commute.  The
-    local solutions build D diagonal, which is what e_matrix requires.
-    """
-
-    D: np.ndarray
-    U: np.ndarray
 
 
 def rho(N: np.ndarray) -> np.ndarray:

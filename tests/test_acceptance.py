@@ -14,9 +14,8 @@ import pytest
 from qgalois import (
     HyperParams,
     QContext,
-    birkhoff_closed_form,
-    birkhoff_numeric,
     classify,
+    connection_eval,
     det_formula,
     fit_relation_residual,
     gauge_residual,
@@ -29,7 +28,6 @@ from qgalois import (
     lq,
     minor2,
     minor_formula,
-    pgl2_obstruction,
     psl2_eigenvalue_check,
     psl2_relation_residual,
     qcharacter,
@@ -38,7 +36,6 @@ from qgalois import (
     theta_triple_product,
     twisted_birkhoff,
 )
-from qgalois.galois import obstruction_samples
 from qgalois.hypersystem import (
     _LADDER,
     _f_infinity_series,
@@ -143,11 +140,8 @@ def test_criterion_04_birkhoff_reproduction():
     for _ in range(5):
         p = _random_params(rng)
         for z in _random_points(rng, 10, 0.6, 0.9):
-            Pn = birkhoff_numeric(p, z, CTX)
-            Pc = birkhoff_closed_form(p, z, CTX)
-            worst = max(
-                worst, float(np.max(np.abs(Pn - Pc)) / np.max(np.abs(Pc)))
-            )
+            # max |P_numeric - P_closed_form| / max |P_closed_form|
+            worst = max(worst, connection_eval(p, z, CTX, "both").residual_cross)
     elapsed = time.time() - t0
     ok = worst < 1e-6 and elapsed < 30.0
     _report(4, "connection-matrix reproduction", ok, f"residual={worst:.2e} t={elapsed:.1f}s")
@@ -275,7 +269,7 @@ def test_criterion_09_obstruction_soundness():
     pattern_ok = True
     for _ in range(5):
         p = _random_params(rng)
-        min_res = min(min_res, pgl2_obstruction(p, obstruction_samples(p, CTX), CTX))
+        min_res = min(min_res, classify(p, CTX).obstruction_residual)
         anchor = p.b2 / (CTX.q * p.a[0])
         z = anchor * (1 + 1e-6)
         B = twisted_birkhoff(p, z, CTX)

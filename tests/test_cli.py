@@ -97,6 +97,19 @@ def test_output_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("command", [
+    ["classify"],
+    ["connection", "--z", "0.7+0.2j"],
+])
+def test_seed_only_on_verify(capsys, command):
+    code, _, err = _run(
+        capsys, *command, "--q", "0.5",
+        "--a", "q^0.1,q^0.2,q^0.4", "--b", "q,q^0.15,q^0.33", "--seed", "3",
+    )
+    assert code == 1
+    assert "--seed" in err
+
+
 def test_text_format(capsys):
     code, out, _ = _run(capsys, "verify", "--q", "0.5", "--suite", "theta", "--format", "text")
     assert code == 0

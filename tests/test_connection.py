@@ -12,8 +12,6 @@ from qgalois import (
     HyperParams,
     QContext,
     SpiralCollisionError,
-    birkhoff_closed_form,
-    birkhoff_numeric,
     connection_eval,
     connection_logarithmic,
     core_closed_form,
@@ -55,8 +53,8 @@ def test_cross_method_agreement(ctx, p, rng):
 
 def test_birkhoff_is_elliptic(ctx, p, rng):
     for z in _annulus(rng, ctx, 4):
-        P = birkhoff_closed_form(p, z, ctx)
-        Pq = birkhoff_closed_form(p, ctx.q * z, ctx)
+        P = connection_eval(p, z, ctx, "closed_form").P
+        Pq = connection_eval(p, ctx.q * z, ctx, "closed_form").P
         assert np.max(np.abs(P - Pq)) < 1e-10 * np.max(np.abs(P))
 
 
@@ -95,9 +93,17 @@ def test_all_nine_minor_closed_forms(ctx, p, rng):
 
 
 def test_genericity_guard(ctx):
-    bad = HyperParams(a=(ctx.qpow(0.3), ctx.qpow(1.3), ctx.qpow(0.7)), b2=ctx.qpow(0.2), b3=ctx.qpow(0.5))
-    with pytest.raises(SpiralCollisionError):
-        twisted_birkhoff(bad, 0.7 + 0.1j, ctx)
+    q, a, a3 = ctx.q, ctx.qpow(0.3), ctx.qpow(0.7)
+    b2, b3 = ctx.qpow(0.15), ctx.qpow(0.55)
+    cases = [
+        (HyperParams(a=(a, ctx.qpow(1.3), a3), b2=ctx.qpow(0.2), b3=ctx.qpow(0.5)), "a1/a2"),
+        (HyperParams(a=(a, a, a3), b2=b2, b3=b3), "a1/a2"),  # merged a-pair
+        (HyperParams(a=(ctx.qpow(0.1), a, a3), b2=q, b3=b3), "b2"),  # b2 = q alone
+    ]
+    for bad, label in cases:
+        for z in (0.7 + 0.1j, np.array([0.6 + 0.3j, 0.7 - 0.2j])):
+            with pytest.raises(SpiralCollisionError, match=f"^{label} lies on"):
+                twisted_birkhoff(bad, z, ctx)
 
 
 def test_log_case_merged_b_column_display(ctx):
@@ -119,8 +125,8 @@ def test_log_case_merged_b_column_display(ctx):
 def test_log_case_merged_b_elliptic_core(ctx):
     pl = HyperParams(a=(ctx.qpow(0.13), ctx.qpow(0.37), ctx.qpow(0.71)), b2=ctx.q, b3=ctx.q)
     z = 0.8 * cmath.exp(2.0j)
-    P = birkhoff_numeric(pl, z, ctx)
-    Pq = birkhoff_numeric(pl, ctx.q * z, ctx)
+    P = connection_eval(pl, z, ctx, "numeric").P
+    Pq = connection_eval(pl, ctx.q * z, ctx, "numeric").P
     assert np.max(np.abs(P - Pq)) < 1e-6 * np.max(np.abs(P))
 
 
@@ -147,8 +153,8 @@ def test_doubly_log_untwisted_elliptic(ctx):
     a = ctx.qpow(0.3)
     pl = HyperParams(a=(a, a, a), b2=ctx.q, b3=ctx.q)
     z = 0.8 * cmath.exp(2.4j)
-    P = birkhoff_numeric(pl, z, ctx)
-    Pq = birkhoff_numeric(pl, ctx.q * z, ctx)
+    P = connection_eval(pl, z, ctx, "numeric").P
+    Pq = connection_eval(pl, ctx.q * z, ctx, "numeric").P
     assert np.max(np.abs(P - Pq)) < 1e-6 * np.max(np.abs(P))
 
 
@@ -325,4 +331,56 @@ def test_connection_logarithmic_makes_no_theta_call(monkeypatch, ctx):
     calls = _counting_theta(monkeypatch)
     for z in zs:
         connection_logarithmic(pl, z, ctx)
+    assert calls == []
+
+
+# --- one twist for the generic and the logarithmic cases ----------------------
+
+
+def _log_params(ctx, case):
+    """Case (iii): distinct a, b = (q,q,q); case (iv): a = (a,a,a), b = (q,q,q)."""
+    if case == "iii":
+        return HyperParams(a=(ctx.qpow(0.13), ctx.qpow(0.37), ctx.qpow(0.71)), b2=ctx.q, b3=ctx.q)
+    a = ctx.qpow(0.3)
+    return HyperParams(a=(a, a, a), b2=ctx.q, b3=ctx.q)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.5 * cmath.exp(0.5j)])
+@pytest.mark.parametrize("case", ["iii", "iv"])
+def test_connection_eval_twists_the_logarithmic_cases(q, case):
+    ctx = QContext(q)
+    pl = _log_params(ctx, case)
+    z = 0.6 + 0.3j
+    ev = connection_eval(pl, z, ctx, "numeric")
+    assert np.array_equal(ev.P_twisted, connection_logarithmic(pl, z, ctx))
+
+
+@pytest.mark.parametrize("q", [0.5, 0.5 * cmath.exp(0.5j)])
+@pytest.mark.parametrize("case", ["iii", "iv"])
+def test_twisted_birkhoff_covers_the_logarithmic_cases(q, case):
+    ctx = QContext(q)
+    pl = _log_params(ctx, case)
+    zs = np.array([0.6 + 0.3j, 0.8 * cmath.exp(2.0j), 1.3 * cmath.exp(-0.4j)])
+    stacked = np.array([connection_logarithmic(pl, complex(z), ctx) for z in zs])
+    mats = twisted_birkhoff(pl, zs, ctx)
+    assert mats.shape == (3, 3, 3)
+    assert np.array_equal(mats, stacked)
+    assert np.array_equal(twisted_birkhoff(pl, zs[1], ctx), stacked[1])
+
+
+@pytest.mark.parametrize("method", ["both", "closed_form"])
+def test_connection_eval_checks_genericity_before_the_numeric_core(monkeypatch, ctx, method):
+    calls = []
+    real = connection.core_numeric
+
+    def counting(p, z, ctx):
+        calls.append(z)
+        return real(p, z, ctx)
+
+    monkeypatch.setattr(connection, "core_numeric", counting)
+    q = ctx.q
+    b2q = HyperParams(a=(ctx.qpow(0.1), ctx.qpow(0.35), ctx.qpow(0.7)), b2=q, b3=ctx.qpow(0.55))
+    for p in (_log_params(ctx, "iii"), _log_params(ctx, "iv"), b2q):
+        with pytest.raises(SpiralCollisionError):
+            connection_eval(p, 0.6 + 0.3j, ctx, method)
     assert calls == []

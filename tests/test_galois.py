@@ -1,5 +1,5 @@
-"""Irreducibility, normalization, case taxonomy, generators, the PSl2
-obstruction, and the classifier."""
+"""Irreducibility, normalization, case taxonomy, and the classifier with its
+generators and PSl2 obstruction residual."""
 
 import cmath
 import math
@@ -8,24 +8,18 @@ import numpy as np
 import pytest
 
 from qgalois import (
-    BasePointSingularError,
     HyperParams,
-    InsufficientSamplesError,
     base_point,
     classify,
     classify_case,
     det_formula,
     fit_relation_residual,
-    generators,
     irreducibility,
     normalize_parameters,
-    omega_samples,
-    pgl2_obstruction,
     rho,
     twisted_birkhoff,
 )
 from qgalois import connection, galois
-from qgalois.galois import obstruction_samples
 
 
 @pytest.fixture
@@ -87,9 +81,11 @@ def test_classify_case_tags(ctx):
     assert classify_case(HyperParams(a=(a, a, ctx.qpow(0.7)), b2=ctx.qpow(0.15), b3=ctx.qpow(0.33)), ctx) == "ii"
 
 
-def test_generators_case_i_display(ctx, p):
+def test_generators_case_i_display(ctx, p, monkeypatch):
+    # the base point as the one connection sample
     y0 = base_point(p, ctx)
-    gens = dict(generators(p, y0, [y0], ctx))
+    monkeypatch.setattr(galois, "omega_samples", lambda p, ctx: [y0])
+    gens = dict(classify(p, ctx).generators)
     # semi-simple local generators at 0: diag(e^{2 pi i beta}) and diag(v)
     expect = np.diag([cmath.exp(2j * math.pi * w) for w in (1.0, 0.15, 0.33)])
     assert np.max(np.abs(gens["1.a"] - expect)) < 1e-10
@@ -100,15 +96,15 @@ def test_generators_case_i_display(ctx, p):
 
 
 def test_generators_invertible(ctx, p):
-    y0 = base_point(p, ctx)
-    for label, M in generators(p, y0, omega_samples(p, ctx)[:4], ctx):
+    for label, M in classify(p, ctx).generators:
         assert abs(np.linalg.det(M)) > 1e-8, label
 
 
 def test_generator_det_ratio_sanity(ctx, p):
-    y0 = base_point(p, ctx)
-    zs = omega_samples(p, ctx)[:4]
-    gens = dict(generators(p, y0, zs, ctx))
+    report = classify(p, ctx)
+    y0, zs = report.base_point, report.samples
+    gens = dict(report.generators)
+    assert len(zs) == 16 and all(f"3.{k}" in gens for k in range(16))
     d0 = det_formula(p, y0, ctx)
     for k, z in enumerate(zs):
         ratio = det_formula(p, z, ctx) / d0
@@ -118,16 +114,14 @@ def test_generator_det_ratio_sanity(ctx, p):
 
 def test_generators_case_iii_display(ctx):
     pl = HyperParams(a=(ctx.qpow(0.13), ctx.qpow(0.37), ctx.qpow(0.71)), b2=ctx.q, b3=ctx.q)
-    y0 = base_point(pl, ctx)
-    gens = dict(generators(pl, y0, [], ctx))
+    gens = dict(classify(pl, ctx).generators)
     assert np.allclose(gens["1.b"], np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
 
 
 def test_generators_case_iv_display(ctx):
     a = ctx.qpow(0.3)
     pl = HyperParams(a=(a, a, a), b2=ctx.q, b3=ctx.q)
-    y0 = base_point(pl, ctx)
-    gens = dict(generators(pl, y0, [], ctx))
+    gens = dict(classify(pl, ctx).generators)
     # scalar semi-simple generators at infinity commute with everything
     assert np.max(np.abs(gens["2.a"] - cmath.exp(2j * math.pi * 0.3) * np.eye(3))) < 1e-8
     assert np.max(np.abs(gens["2.a'"] - np.eye(3))) < 1e-8
@@ -139,20 +133,18 @@ def test_generators_case_iv_display(ctx):
 
 def test_generators_case_ii_local_only(ctx):
     p2 = HyperParams.from_exponents(ctx, (0.1, 0.2, 0.4), (0.15, 0.15))
-    gens = generators(p2, 1.0, [], ctx)
+    gens = classify(p2, ctx).generators
     labels = [l for l, _ in gens]
     assert labels == ["1.a", "1.a'", "1.b"]
     assert np.allclose(dict(gens)["1.b"], np.array([[1, 0, 0], [0, 1, p2.b2 / ctx.q], [0, 0, 1]]))
 
 
-def test_base_point_rejected_on_spiral(ctx, p):
-    with pytest.raises(BasePointSingularError):
-        generators(p, ctx.q ** 2, [], ctx)
-
-
-def test_obstruction_needs_samples(ctx, p):
-    with pytest.raises(InsufficientSamplesError):
-        pgl2_obstruction(p, [0.7 + 0.1j] * 5, ctx)
+def test_base_point_rejected_on_spiral(ctx, p, monkeypatch):
+    monkeypatch.setattr(galois, "base_point", lambda p, ctx: ctx.q ** 2)
+    report = classify(p, ctx)
+    assert report.generators == () and report.obstruction_residual is None
+    note = f"connection data unavailable: base point {ctx.q ** 2} is on a singular spiral"
+    assert note in report.notes
 
 
 def test_obstruction_synthetic_fixture(rng):
@@ -171,8 +163,7 @@ def test_obstruction_synthetic_fixture(rng):
 
 
 def test_obstruction_large_for_case_i(ctx, p):
-    res = pgl2_obstruction(p, obstruction_samples(p, ctx), ctx)
-    assert res > 0.1
+    assert classify(p, ctx).obstruction_residual > 0.1
 
 
 def test_obstruction_zero_pattern(ctx, p):
@@ -265,15 +256,3 @@ def test_classify_case_i_evaluates_one_batch(ctx, monkeypatch):
     assert report.lie_case == "i" and report.obstruction_residual is not None
     assert batches == [(19,)]
     assert len(sample_calls) == 1
-
-
-@pytest.mark.parametrize("case", ["i", "iii", "iv"])
-def test_classify_shares_one_evaluation_with_the_public_wrappers(ctx, case):
-    report = classify(_case_params(ctx, case), ctx)
-    pn = report.normalized
-    gens = generators(pn, report.base_point, list(report.samples), ctx)
-    assert [label for label, _ in gens] == [label for label, _ in report.generators]
-    for (_, m), (_, ref) in zip(report.generators, gens):
-        assert np.linalg.norm(m - ref) <= 1e-12 * np.linalg.norm(ref)
-    residual = pgl2_obstruction(pn, obstruction_samples(pn, ctx), ctx)
-    assert abs(report.obstruction_residual - residual) <= 1e-12 * residual
