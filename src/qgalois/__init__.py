@@ -74,7 +74,6 @@ from .connection import (
     twisted_birkhoff,
     det_formula,
     minor_formula,
-    connection_logarithmic,
     connection_eval,
 )
 from .galois import (

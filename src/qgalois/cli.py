@@ -2,7 +2,7 @@
 identity-verification suites, with JSON reports on stdout.
 
 Exit codes: 0 definitive success, 1 input/usage error, 2 undetermined result
-or failed verification.
+(a connection table with a skipped point included) or failed verification.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def cmd_connection(config: RunConfig, p: HyperParams, zs: list[complex]) -> int:
             entry["skipped"] = f"{type(exc).__name__}: {exc}"
         rows.append(entry)
     _emit({"command": "connection", "q": ctx.q, "rows": rows}, config.fmt)
-    return 0
+    return 2 if any("skipped" in row for row in rows) else 0
 
 
 def cmd_verify(config: RunConfig, suite: str, seed: int) -> int:

@@ -25,6 +25,8 @@ over z and 1/z, and the core from one theta call over z and the nine
 q a_i z / b_j.  The closed-form core, the twisted matrix, the determinant and
 minor formulas (all ten at a point from one theta call) and connection_eval
 take their thetas and weights from it; a single point is a batch of one.
+In the logarithmic cases (b = (q,q,q), possibly a = (a,a,a)), which have
+no closed form here, twisted_birkhoff twists the numeric core point by point.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ __all__ = [
     "det_formula",
     "minor_formula",
     "check_det_minors",
-    "connection_logarithmic",
     "connection_eval",
     "local_pair",
 ]
@@ -330,11 +331,11 @@ def twisted_birkhoff(p: HyperParams, z, ctx: QContext) -> np.ndarray:
     diag((1/z)^(-alpha)) [p_ij theta_q(q a_i z/b_j)/theta_q(z)] diag(z^(-beta)).
 
     z may be an array, giving shape z.shape + (3, 3): one batched closed-form
-    evaluation, or connection_logarithmic at each point in the logarithmic
-    cases."""
+    evaluation.  In the logarithmic cases each point twists the numeric core
+    of the epsilon-ladder limit gauge matrices (see _Equation.twisted)."""
     eq = _equation(p, ctx)
     if eq.logarithmic:
-        mats = [connection_logarithmic(p, complex(w), ctx) for w in np.ravel(z)]
+        mats = [eq.twisted(w, core_numeric(p, w, ctx)) for w in map(complex, np.ravel(z))]
         return np.reshape(mats, np.shape(z) + (3, 3))
     eq = _generic(p, ctx)
     return eq.twisted(z, eq.core(z))
@@ -390,19 +391,6 @@ def check_det_minors(p: HyperParams, B: np.ndarray, z: complex, ctx: QContext) -
         det_mismatch=abs(det_n - det_c) / max(abs(det_c), 1e-300),
         max_minor_mismatch=worst,
     )
-
-
-def connection_logarithmic(p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:
-    """Twisted connection matrix at one z in the logarithmic cases.
-
-    Covers b = (q,q,q) with distinct a (unipotent block at 0) and the doubly
-    logarithmic a = (a,a,a), b = (q,q,q), from the numeric core of the
-    epsilon-ladder limit gauge matrices (see _Equation.twisted).
-    """
-    loc0, locinf = local_pair(p, ctx)
-    if not (loc0.logarithmic or locinf.logarithmic):
-        raise DomainError("parameters are not in a logarithmic case")
-    return _equation(p, ctx).twisted(z, core_numeric(p, z, ctx))
 
 
 def connection_eval(

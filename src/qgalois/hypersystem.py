@@ -3,11 +3,15 @@
 A parameter set (a1,a2,a3; b2,b3) with the implicit normalization b1 = q
 defines the companion system Phi(qz) = A(z) Phi(z).  This module builds A,
 decides which exponent ratios lie on q^Z (the SpiralPattern that local
-solutions, the closed forms' genericity and the case tag all read), builds
-the local gauge matrices F and character matrices e_J with Y = F e_J,
-continues them beyond the series radius by the functional equation, and
-takes the logarithmic limits (b -> (q,q,q) at 0, a -> (a,a,a) at infinity)
-by an epsilon-ladder with Richardson extrapolation.
+solutions, the closed forms' genericity and the case tag all read), and
+builds the local solutions Y = F e_J at 0 and at infinity.
+
+One construction gives F on both sides: column k is a 3phi2 series in the
+parameters of that column (_f_series).  The logarithmic cases (b -> (q,q,q)
+at 0, a -> (a,a,a) at infinity) take the limit of that same F times a frame
+multiplier by an epsilon-ladder with Richardson extrapolation; the five
+perturbed series and multipliers are built once per local solution.
+fmatrix_at continues F beyond the series radius by the functional equation.
 
 Every local exponent matrix is J = diag(exponents) U, read off the
 parameters: diag(1, q/b2, q/b3) or the unipotent J_q at 0, diag(1/a_i) or
@@ -187,49 +191,46 @@ def spiral_pattern(p: HyperParams, ctx: QContext) -> SpiralPattern:
 
 
 def _series_ctx(ctx: QContext) -> QContext:
-    """Tighten the truncation tolerance for inner series used in limits."""
+    """Tighten the truncation tolerance of every gauge series to at most 1e-14,
+    the generic ones and the perturbed ones of the logarithmic limits alike."""
     if ctx.eps_trunc <= 1e-14:
         return ctx
     return replace(ctx, eps_trunc=1e-14)
 
 
-def _f_zero_series(p: HyperParams, ctx: QContext) -> Callable[[complex], np.ndarray]:
-    """The gauge matrix F at 0: column j rescales all parameters by q/b_j and
-    rows evaluate at z, qz, q^2 z with powers of q/b_j."""
+def _f_series(p: HyperParams, ctx: QContext, side: str) -> Callable[[complex], np.ndarray]:
+    """The gauge matrix F at 0 or at infinity: entry (r, k) is
+    pre_k^r 3phi2(num_k; den_k; arg_r(z)), with the column parameters built
+    once here, at 0 num = s a, den = s b, pre = s for s = q/b_k and
+    arg_r = q^r z, at infinity num = a_k q/b, den = a_k q/a, pre = 1/a_k and
+    arg_r = q^(1-r) c0/z with c0 = b2 b3/(a1 a2 a3)."""
     q = ctx.q
     b = p.b(ctx)
-    scales = [q / bj for bj in b]
     sctx = _series_ctx(ctx)
+    if side == "zero":
+        columns = [
+            (tuple(s * ai for ai in p.a), tuple(s * bk for bk in b), s)
+            for s in (q / bj for bj in b)
+        ]
+
+        def arg(r: int, z: complex) -> complex:
+            return q ** r * z
+    else:
+        a1, a2, a3 = p.a
+        c0 = p.b2 * p.b3 / (a1 * a2 * a3)
+        columns = [
+            (tuple(ai * q / bk for bk in b), tuple(ai * q / ak for ak in p.a), 1.0 / ai)
+            for ai in p.a
+        ]
+
+        def arg(r: int, z: complex) -> complex:
+            return q ** (1 - r) * c0 / z
 
     def F(z: complex) -> np.ndarray:
         out = np.empty((3, 3), dtype=complex)
-        for j, s in enumerate(scales):
-            num = tuple(s * ai for ai in p.a)
-            den = tuple(s * bk for bk in b)
+        for k, (num, den, pre) in enumerate(columns):
             for r in range(3):
-                out[r, j] = s ** r * qhyper_series(num, den, q ** r * z, sctx)[0]
-        return out
-
-    return F
-
-
-def _f_infinity_series(p: HyperParams, ctx: QContext) -> Callable[[complex], np.ndarray]:
-    """The gauge matrix F at infinity: column i uses parameters a_i q/b over
-    a_i q/a with argument proportional to 1/z."""
-    q = ctx.q
-    a1, a2, a3 = p.a
-    b = p.b(ctx)
-    c0 = p.b2 * p.b3 / (a1 * a2 * a3)
-    sctx = _series_ctx(ctx)
-
-    def F(z: complex) -> np.ndarray:
-        out = np.empty((3, 3), dtype=complex)
-        for i, ai in enumerate(p.a):
-            num = tuple(ai * q / bk for bk in b)
-            den = tuple(ai * q / ak for ak in p.a)
-            for r in range(3):
-                arg = q ** (1 - r) * c0 / z
-                out[r, i] = (1.0 / ai) ** r * qhyper_series(num, den, arg, sctx)[0]
+                out[r, k] = pre ** r * qhyper_series(num, den, arg(r, z), sctx)[0]
         return out
 
     return F
@@ -252,7 +253,7 @@ def local_solution_zero(p: HyperParams, ctx: QContext) -> LocalData:
         J=J,
         U=np.eye(3, dtype=complex),
         exponents=exps,
-        F=_f_zero_series(p, ctx),
+        F=_f_series(p, ctx, "zero"),
         radius=0.5,
     )
 
@@ -276,7 +277,7 @@ def local_solution_infinity(p: HyperParams, ctx: QContext) -> LocalData:
         J=J,
         U=np.eye(3, dtype=complex),
         exponents=exps,
-        F=_f_infinity_series(p, ctx),
+        F=_f_series(p, ctx, "infinity"),
         radius=radius,
     )
 
@@ -307,46 +308,33 @@ def e_matrix(local: LocalData, z: complex, ctx: QContext) -> np.ndarray:
     return eD[:, None] * _unipotent_power(local.U, z, ctx)
 
 
-def _continued(
-    f_inner: Callable[[complex], np.ndarray],
-    p: HyperParams,
-    z: complex,
-    ctx: QContext,
-    side: str,
-    radius: float,
-    rmul: np.ndarray,
-) -> np.ndarray:
-    """Continue a gauge matrix along the q-shift chain to z, applying the
-    right multiplier rmul (the exponent matrix J) once per step."""
+def fmatrix_at(local: LocalData, p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:
+    """Gauge matrix F at z, continued with F(qz) J = A(z) F(z) beyond the
+    radius: along the q-shift chain from z q^m at 0, from z q^-m at infinity,
+    applying the exponent matrix J once per step."""
     absq = abs(ctx.q)
-    if side == "zero":
-        if abs(z) <= radius:
-            return f_inner(z)
-        m = max(1, math.ceil(math.log(abs(z) / radius) / math.log(1.0 / absq)))
-        val = f_inner(z * ctx.q ** m)
+    if local.side == "zero":
+        if abs(z) <= local.radius:
+            return local.F(z)
+        m = max(1, math.ceil(math.log(abs(z) / local.radius) / math.log(1.0 / absq)))
+        val = local.F(z * ctx.q ** m)
         for j in range(m - 1, -1, -1):
             point = z * ctx.q ** j
             if abs(point - 1.0) < 1e-8:
                 raise PoleChainError(f"chain point {point} hits the singular point 1")
             A = system_matrix(p, point, ctx)
-            val = np.linalg.solve(A, val) @ rmul
+            val = np.linalg.solve(A, val) @ local.J
         return val
-    # infinity side
-    if abs(z) >= radius:
-        return f_inner(z)
-    m = max(1, math.ceil(math.log(radius / abs(z)) / math.log(1.0 / absq)))
-    val = f_inner(z / ctx.q ** m)
-    rinv = np.linalg.inv(rmul)
+    if abs(z) >= local.radius:
+        return local.F(z)
+    m = max(1, math.ceil(math.log(local.radius / abs(z)) / math.log(1.0 / absq)))
+    val = local.F(z / ctx.q ** m)
+    rinv = np.linalg.inv(local.J)
     for j in range(m - 1, -1, -1):
         prev = z / ctx.q ** (j + 1)
         A = system_matrix(p, prev, ctx)
         val = A @ val @ rinv
     return val
-
-
-def fmatrix_at(local: LocalData, p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:
-    """Gauge matrix F at z, continued with F(qz) J = A(z) F(z) beyond the radius."""
-    return _continued(local.F, p, z, ctx, local.side, local.radius, rmul=local.J)
 
 
 def solution_matrix(local: LocalData, p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:
@@ -396,6 +384,21 @@ def ladder_order(values: list[np.ndarray]) -> float:
     return float(np.median(np.log2(d1[mask] / d2[mask])))
 
 
+def _ladder_limit(
+    frames: list[tuple[Callable[[complex], np.ndarray], np.ndarray]], where: str
+) -> Callable[[complex], np.ndarray]:
+    """The eps -> 0 limit z -> lim F_eps(z) M_eps, Richardson-extrapolated over
+    one (F_eps, M_eps) frame per rung of _LADDER."""
+
+    def F(z: complex) -> np.ndarray:
+        out = _richardson([F_eps(z) @ M_eps for F_eps, M_eps in frames])
+        if not np.all(np.isfinite(out)):
+            raise ExtrapolationDivergedError(f"logarithmic limit at {where} diverged")
+        return out
+
+    return F
+
+
 def _kmult_zero(b2: complex, b3: complex, ctx: QContext) -> np.ndarray:
     """Multiplier turning the generic F at 0 into the b -> (q,q,q) limit frame:
     the explicit form of V(b)^{-1} [[1,-1,1],[1,0,0],[1,1,0]]."""
@@ -441,25 +444,17 @@ def local_solution_zero_log(p: HyperParams, ctx: QContext) -> LocalData:
     F is the eps-ladder limit of F(a, b(eps); z) times the frame multiplier,
     Richardson-extrapolated; the exponent matrix is the unipotent J_q."""
     _check_log_zero_params(spiral_pattern(p, ctx))
-    q = ctx.q
     Jq = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=complex)
-
-    def F(z: complex) -> np.ndarray:
-        vals = []
-        for eps in _LADDER:
-            pe = _perturbed_b(p, eps, ctx)
-            vals.append(_f_zero_series(pe, ctx)(z) @ _kmult_zero(pe.b2, pe.b3, ctx))
-        out = _richardson(vals)
-        if not np.all(np.isfinite(out)):
-            raise ExtrapolationDivergedError("logarithmic limit at 0 diverged")
-        return out
-
+    frames = []
+    for eps in _LADDER:
+        pe = _perturbed_b(p, eps, ctx)
+        frames.append((_f_series(pe, ctx, "zero"), _kmult_zero(pe.b2, pe.b3, ctx)))
     return LocalData(
         side="zero",
         J=Jq,
         U=Jq.copy(),
         exponents=(1.0 + 0j, 1.0 + 0j, 1.0 + 0j),
-        F=F,
+        F=_ladder_limit(frames, "0"),
         radius=0.5,
     )
 
@@ -507,25 +502,17 @@ def local_solution_infinity_log(p: HyperParams, ctx: QContext) -> LocalData:
     )
     W = _wmult_infinity(a)
     radius = 2.0 * abs(p.b2 * p.b3 / (a ** 3 * ctx.q))
-
-    def F(z: complex) -> np.ndarray:
-        vals = []
-        for eps in _LADDER:
-            pe = _perturbed_a(p, eps)
-            V = _vandermonde(tuple(ctx.q * ai for ai in pe.a), ctx)
-            mult = np.linalg.solve(V, W)
-            vals.append(_f_infinity_series(pe, ctx)(z) @ mult)
-        out = _richardson(vals)
-        if not np.all(np.isfinite(out)):
-            raise ExtrapolationDivergedError("logarithmic limit at infinity diverged")
-        return out
-
+    frames = []
+    for eps in _LADDER:
+        pe = _perturbed_a(p, eps)
+        V = _vandermonde(tuple(ctx.q * ai for ai in pe.a), ctx)
+        frames.append((_f_series(pe, ctx, "infinity"), np.linalg.solve(V, W)))
     return LocalData(
         side="infinity",
         J=Jinf,
         # J_inf = (1/a) (a J_inf): U unipotent with a above the diagonal
         U=np.array([[1, a, 0], [0, 1, a], [0, 0, 1]], dtype=complex),
         exponents=(1.0 / a, 1.0 / a, 1.0 / a),
-        F=F,
+        F=_ladder_limit(frames, "infinity"),
         radius=radius,
     )

@@ -38,8 +38,7 @@ from qgalois import (
 )
 from qgalois.hypersystem import (
     _LADDER,
-    _f_infinity_series,
-    _f_zero_series,
+    _f_series,
     _kmult_zero,
     _perturbed_a,
     _perturbed_b,
@@ -207,7 +206,7 @@ def test_criterion_07_logarithmic_degenerations():
     for eps in _LADDER:
         pe = _perturbed_b(p3, eps, CTX)
         lad3.append(
-            _f_zero_series(pe, CTX)(z) @ _kmult_zero(pe.b2, pe.b3, CTX)
+            _f_series(pe, CTX, "zero")(z) @ _kmult_zero(pe.b2, pe.b3, CTX)
         )
     zi = 3.1 * cmath.exp(0.7j)
     lad4 = []
@@ -215,7 +214,7 @@ def test_criterion_07_logarithmic_degenerations():
         pe = _perturbed_a(p4, eps)
         V = _vandermonde([CTX.q * ai for ai in pe.a], CTX)
         W = _wmult_infinity(a)
-        lad4.append(_f_infinity_series(pe, CTX)(zi) @ np.linalg.solve(V, W))
+        lad4.append(_f_series(pe, CTX, "infinity")(zi) @ np.linalg.solve(V, W))
     o3 = ladder_order(lad3)
     o4 = ladder_order(lad4)
     ok = worst3 < 1e-6 and worst4 < 1e-6 and o3 >= 1.0 - 0.1 and o4 >= 1.0 - 0.1

@@ -81,7 +81,7 @@ def test_connection_skips_singular_points(capsys):
         "--a", "q^0.1,q^0.2,q^0.4", "--b", "q,q^0.15,q^0.33",
         "--z", "0.7+0.2j,1,q^0.5",
     )
-    assert code == 0
+    assert code == 2  # a skipped point leaves the table undetermined
     d = json.loads(out)
     assert len(d["rows"]) == 3
     assert "skipped" in d["rows"][1]
@@ -89,6 +89,20 @@ def test_connection_skips_singular_points(capsys):
     assert good["cross_method_residual"] < 1e-6
     assert good["det_mismatch"] < 1e-8
     assert good["max_minor_mismatch"] < 1e-8
+
+
+@pytest.mark.parametrize("a, b, code, skipped", [
+    ("q^0.1,q^0.2,q^0.4", "q,q^0.15,q^0.33", 0, 0),  # case i: every row computed
+    ("q^0.3,q^0.3,q^0.3", "q,q,q", 2, 2),  # case iv: no closed form, every row skipped
+])
+def test_connection_exit_code_reflects_skipped_rows(capsys, a, b, code, skipped):
+    got, out, _ = _run(
+        capsys, "connection", "--q", "0.5", "--a", a, "--b", b, "--z", "0.6+0.3j,0.7+0.2j",
+    )
+    rows = json.loads(out)["rows"]
+    assert got == code
+    assert len(rows) == 2
+    assert sum("skipped" in row for row in rows) == skipped
 
 
 def test_output_deterministic(capsys):

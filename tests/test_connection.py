@@ -13,7 +13,6 @@ from qgalois import (
     QContext,
     SpiralCollisionError,
     connection_eval,
-    connection_logarithmic,
     core_closed_form,
     core_numeric,
     det_formula,
@@ -111,7 +110,7 @@ def test_log_case_merged_b_column_display(ctx):
     # (1/z)^(-alpha_i) p_i1 theta(a_i z)/theta(z)
     pl = HyperParams(a=(ctx.qpow(0.13), ctx.qpow(0.37), ctx.qpow(0.71)), b2=ctx.q, b3=ctx.q)
     z = 0.8 * cmath.exp(1.1j)
-    B = connection_logarithmic(pl, z, ctx)
+    B = twisted_birkhoff(pl, z, ctx)
     for i in (1, 2, 3):
         expect = (
             pochhammer_coefficient(pl, i, 1, ctx)
@@ -323,14 +322,14 @@ def test_connection_eval_makes_three_theta_calls_per_point(monkeypatch, ctx, p):
     assert len(calls) == 3 * len(zs)
 
 
-def test_connection_logarithmic_makes_no_theta_call(monkeypatch, ctx):
+def test_twisted_birkhoff_logarithmic_makes_no_theta_call(monkeypatch, ctx):
     a = ctx.qpow(0.3)
     pl = HyperParams(a=(a, a, a), b2=ctx.q, b3=ctx.q)
     zs = [0.8 * cmath.exp(1.1j), 1.3 * cmath.exp(-0.4j)]
-    connection_logarithmic(pl, zs[0], ctx)
+    twisted_birkhoff(pl, zs[0], ctx)
     calls = _counting_theta(monkeypatch)
     for z in zs:
-        connection_logarithmic(pl, z, ctx)
+        twisted_birkhoff(pl, z, ctx)
     assert calls == []
 
 
@@ -352,7 +351,7 @@ def test_connection_eval_twists_the_logarithmic_cases(q, case):
     pl = _log_params(ctx, case)
     z = 0.6 + 0.3j
     ev = connection_eval(pl, z, ctx, "numeric")
-    assert np.array_equal(ev.P_twisted, connection_logarithmic(pl, z, ctx))
+    assert np.array_equal(ev.P_twisted, twisted_birkhoff(pl, z, ctx))
 
 
 @pytest.mark.parametrize("q", [0.5, 0.5 * cmath.exp(0.5j)])
@@ -361,7 +360,7 @@ def test_twisted_birkhoff_covers_the_logarithmic_cases(q, case):
     ctx = QContext(q)
     pl = _log_params(ctx, case)
     zs = np.array([0.6 + 0.3j, 0.8 * cmath.exp(2.0j), 1.3 * cmath.exp(-0.4j)])
-    stacked = np.array([connection_logarithmic(pl, complex(z), ctx) for z in zs])
+    stacked = np.array([twisted_birkhoff(pl, complex(z), ctx) for z in zs])
     mats = twisted_birkhoff(pl, zs, ctx)
     assert mats.shape == (3, 3, 3)
     assert np.array_equal(mats, stacked)

@@ -224,14 +224,14 @@ def _case_params(ctx, case):
 
 
 def test_classify_case_iii_evaluates_each_sample_once(ctx, monkeypatch):
-    real = connection.connection_logarithmic
+    real = connection.core_numeric
     calls = []
 
     def counting(p, z, ctx):
         calls.append(z)
         return real(p, z, ctx)
 
-    monkeypatch.setattr(connection, "connection_logarithmic", counting)
+    monkeypatch.setattr(connection, "core_numeric", counting)
     report = classify(_case_params(ctx, "iii"), ctx)
     assert report.lie_case == "iii" and report.obstruction_residual is not None
     # base point, 16 circle samples, 2 points beside the relation's zero spiral

@@ -6,6 +6,7 @@ import cmath
 import numpy as np
 import pytest
 
+from qgalois import hypersystem
 from qgalois import (
     DomainError,
     HyperParams,
@@ -158,9 +159,40 @@ def test_log_infinity_ladder(ctx, rng):
 
 
 def test_fmatrix_continuation_consistency(ctx, p):
-    # the continued value at radius/3 equals the direct series there
+    # at 0: the value at radius/3 equals the direct series there; at infinity:
+    # the value continued from z/q at 3/4 of the radius equals the direct
+    # series, which still converges there (its radius is half the series radius)
     loc0 = local_solution_zero(p, ctx)
-    z = 0.12 * cmath.exp(0.9j)
-    direct = loc0.F(z)
-    cont = fmatrix_at(loc0, p, z, ctx)
-    assert np.max(np.abs(direct - cont)) < 1e-10 * np.max(np.abs(direct))
+    locinf = local_solution_infinity(p, ctx)
+    for loc, z in (
+        (loc0, 0.12 * cmath.exp(0.9j)),
+        (locinf, 0.75 * locinf.radius * cmath.exp(0.9j)),
+    ):
+        direct = loc.F(z)
+        cont = fmatrix_at(loc, p, z, ctx)
+        assert np.max(np.abs(direct - cont)) < 1e-10 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize(
+    "build, helper, a_exps",
+    [
+        (local_solution_infinity_log, "_vandermonde", (0.3, 0.3, 0.3)),
+        (local_solution_zero_log, "_kmult_zero", (0.13, 0.37, 0.71)),
+    ],
+)
+def test_log_ladder_frames_built_once(monkeypatch, ctx, build, helper, a_exps):
+    # the five eps-ladder frame multipliers come from the parameters only:
+    # one per rung when the local solution is built, none per evaluation point
+    calls = []
+    real = getattr(hypersystem, helper)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hypersystem, helper, counting)
+    pl = HyperParams(a=tuple(ctx.qpow(x) for x in a_exps), b2=ctx.q, b3=ctx.q)
+    loc = build(pl, ctx)
+    for z in (0.3 + 0.1j, 0.9 * cmath.exp(2.0j), 4.0 * cmath.exp(-0.7j)):
+        fmatrix_at(loc, pl, z, ctx)
+    assert len(calls) == 5
