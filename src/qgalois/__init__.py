@@ -33,11 +33,8 @@ from .spiral import (
     gamma2,
 )
 from .qseries import (
-    qpochhammer_finite,
     qpochhammer_infinite,
-    qpoch_inf_product,
     theta,
-    theta_d1,
     theta_triple_product,
     qcharacter,
     lq,

@@ -26,7 +26,8 @@ q a_i z / b_j.  The closed-form core, the twisted matrix, the determinant and
 minor formulas (all ten at a point from one theta call) and connection_eval
 take their thetas and weights from it; a single point is a batch of one.
 In the logarithmic cases (b = (q,q,q), possibly a = (a,a,a)), which have
-no closed form here, twisted_birkhoff twists the numeric core point by point.
+no closed form here, twisted_birkhoff forms the numeric core point by point
+and twists the batch with one q-logarithm call over z.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
     SingularSolutionError,
     SpiralCollisionError,
 )
-from .mat3 import minor2
+from .mat3 import _check_index_pairs, minor2
 from .hypersystem import (
     HyperParams,
     LocalData,
@@ -57,7 +58,7 @@ from .hypersystem import (
     local_solution_zero_log,
     spiral_pattern,
 )
-from .qseries import qpochhammer_infinite, theta
+from .qseries import lq, qpochhammer_infinite, theta
 from .spiral import log_q
 
 __all__ = [
@@ -219,21 +220,17 @@ class _Equation:
 
     def twisted(self, z, core: np.ndarray) -> np.ndarray:
         """diag((1/z)^(-alpha)) core diag(z^(-beta)), for cores of shape
-        z.shape + (3, 3).  In the logarithmic cases, at one z, the unipotent
-        parts stay explicit: diag((1/z)^(-alpha)) (U_inf^l_q(z))^{-1} core
-        times U_0^l_q(z) (block at 0) or diag(z^(-beta))."""
+        z.shape + (3, 3).  In the logarithmic cases, where the character
+        matrices are e_J = e_D U^(l_q(z)), the unipotent parts stay explicit:
+        diag((1/z)^(-alpha)) U_inf^(-l_q(z)) core U_0^(l_q(z)), from one lq
+        call over z (D_0 = I, and U_inf = I in case iii)."""
         rows, cols = self.weights(z)
         if not self.logarithmic:
             return rows[..., :, None] * core * cols[..., None, :]
         loc0, locinf = self.local_pair
-        # left: psi_infinity(D_inf) e_inf^{-1} = diag(1/g_{1/z}(a_i)) (U_inf^l_q(z))^{-1}
-        left = rows[:, None] * np.linalg.inv(_unipotent_power(locinf.U, z, self.ctx))
-        # right: e_0 psi_zero(D_0)^{-1}; D_0 = I in the logarithmic-at-0 cases
-        if loc0.logarithmic:
-            right = _unipotent_power(loc0.U, z, self.ctx)
-        else:
-            right = np.diag(cols)
-        return left @ core @ right
+        ell = lq(z, self.ctx)
+        left = rows[..., :, None] * _unipotent_power(locinf.U, -ell)
+        return left @ core @ _unipotent_power(loc0.U, ell)
 
     def det_and_minors(self, z: complex, pairs) -> tuple[complex, list[complex]]:
         """Closed forms at one z of the twisted determinant and of the minors
@@ -331,12 +328,13 @@ def twisted_birkhoff(p: HyperParams, z, ctx: QContext) -> np.ndarray:
     diag((1/z)^(-alpha)) [p_ij theta_q(q a_i z/b_j)/theta_q(z)] diag(z^(-beta)).
 
     z may be an array, giving shape z.shape + (3, 3): one batched closed-form
-    evaluation.  In the logarithmic cases each point twists the numeric core
-    of the epsilon-ladder limit gauge matrices (see _Equation.twisted)."""
+    evaluation.  In the logarithmic cases the numeric core of the
+    epsilon-ladder limit gauge matrices is formed point by point and twisted
+    as one batch (see _Equation.twisted)."""
     eq = _equation(p, ctx)
     if eq.logarithmic:
-        mats = [eq.twisted(w, core_numeric(p, w, ctx)) for w in map(complex, np.ravel(z))]
-        return np.reshape(mats, np.shape(z) + (3, 3))
+        cores = [core_numeric(p, w, ctx) for w in map(complex, np.ravel(z))]
+        return eq.twisted(z, np.reshape(cores, np.shape(z) + (3, 3)))
     eq = _generic(p, ctx)
     return eq.twisted(z, eq.core(z))
 
@@ -353,12 +351,11 @@ def minor_formula(
     z: complex,
     ctx: QContext,
 ) -> complex:
-    """Closed form of the (i1,i2) x (j1,j2) minor of the twisted matrix."""
-    eq = _generic(p, ctx)
-    for pair in (rows, cols):
-        if pair[0] == pair[1] or not all(k in (1, 2, 3) for k in pair):
-            raise DomainError(f"bad index pair {pair}")
-    return eq.det_and_minors(z, [(rows, cols)])[1][0]
+    """Closed form of the (i1,i2) x (j1,j2) minor of the twisted matrix;
+    BadIndexError unless rows and cols are each two distinct indices in
+    {1, 2, 3}, as in minor2."""
+    _check_index_pairs(rows, cols)
+    return _generic(p, ctx).det_and_minors(z, [(rows, cols)])[1][0]
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,7 @@
 
 Every numeric routine in the package is a pure function of its inputs and a
 QContext.  The context fixes q with 0 < |q| < 1, the principal branch of
-tau (q = exp(-2*pi*i*tau)), and the truncation / spiral-membership
-tolerances.
+log q, and the truncation / spiral-membership tolerances.
 """
 
 from __future__ import annotations
@@ -41,11 +40,6 @@ class QContext:
     def log_q(self) -> complex:
         """Principal logarithm of q."""
         return cmath.log(self.q)
-
-    @property
-    def tau(self) -> complex:
-        """tau with q = exp(-2*pi*i*tau), principal branch."""
-        return self.log_q / (-2j * cmath.pi)
 
     def qpow(self, y: complex) -> complex:
         """q**y along the fixed branch: exp(y * log q)."""

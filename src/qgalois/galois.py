@@ -45,6 +45,8 @@ __all__ = [
 
 _RATIONAL_DEN_CAP = 10 ** 6
 _RATIONAL_TOL = 1e-9
+_N_SCAN = 64  # angles scanned for the base point
+_PER_CIRCLE = 8  # connection samples per circle
 
 
 @dataclass(frozen=True)
@@ -197,23 +199,23 @@ def _clearance(p: HyperParams, zs, ctx: QContext):
     return np.minimum(spiral_clearance(zs, ctx), spiral_clearance(zs / _det_zero_anchor(p, ctx), ctx))
 
 
-def base_point(p: HyperParams, ctx: QContext, n_scan: int = 64) -> complex:
-    """Base point on |z| = |q|^(1/2) maximizing clearance from the pole
-    spiral q^Z and the determinant-zero spiral."""
-    zs = abs(ctx.q) ** 0.5 * np.exp(2j * math.pi * (np.arange(n_scan) + 0.5) / n_scan)
+def base_point(p: HyperParams, ctx: QContext) -> complex:
+    """Base point among _N_SCAN angles on |z| = |q|^(1/2) maximizing
+    clearance from the pole spiral q^Z and the determinant-zero spiral."""
+    zs = abs(ctx.q) ** 0.5 * np.exp(2j * math.pi * (np.arange(_N_SCAN) + 0.5) / _N_SCAN)
     return complex(zs[np.argmax(_clearance(p, zs, ctx))])
 
 
-def omega_samples(p: HyperParams, ctx: QContext, per_circle: int = 8) -> list[complex]:
-    """Sample points for the connection component: per_circle points on each of
-    the circles |z| = |q|^0.4 and |z| = |q|^0.6, angles chosen for clearance
-    from the singular spirals."""
+def omega_samples(p: HyperParams, ctx: QContext) -> list[complex]:
+    """Sample points for the connection component: _PER_CIRCLE points on
+    each of the circles |z| = |q|^0.4 and |z| = |q|^0.6, angles chosen for
+    clearance from the singular spirals."""
     out: list[complex] = []
-    angles = 2j * math.pi * (np.arange(4 * per_circle) + 0.37) / (4 * per_circle)
+    angles = 2j * math.pi * (np.arange(4 * _PER_CIRCLE) + 0.37) / (4 * _PER_CIRCLE)
     for expo in (0.4, 0.6):
         zs = abs(ctx.q) ** expo * np.exp(angles)
         ranked = np.argsort(-_clearance(p, zs, ctx), kind="stable")
-        out.extend(complex(z) for z in zs[ranked[:per_circle]])
+        out.extend(complex(z) for z in zs[ranked[:_PER_CIRCLE]])
     return out
 
 

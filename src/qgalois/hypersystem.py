@@ -282,13 +282,12 @@ def local_solution_infinity(p: HyperParams, ctx: QContext) -> LocalData:
     )
 
 
-def _unipotent_power(U: np.ndarray, z: complex, ctx: QContext) -> np.ndarray:
-    """U^(l_q(z)) = I + l N + l (l - 1)/2 N^2 for a unipotent U = I + N
-    (N^3 = 0), with l = l_q(z); the identity, with no q-logarithm, for U = I."""
+def _unipotent_power(U: np.ndarray, ell) -> np.ndarray:
+    """U^ell = I + ell N + ell (ell - 1)/2 N^2 for a unipotent U = I + N
+    (N^3 = 0), at a complex ell or over an array, shape ell.shape + (3, 3).
+    Since U^ell = exp(ell log U), U^(-ell) is its exact inverse."""
+    ell = np.asarray(ell, dtype=complex)[..., None, None]
     N = U - np.eye(3, dtype=complex)
-    if not N.any():
-        return np.eye(3, dtype=complex)
-    ell = lq(z, ctx)
     return np.eye(3, dtype=complex) + ell * N + (ell * (ell - 1.0) / 2.0) * (N @ N)
 
 
@@ -298,14 +297,17 @@ def e_matrix(local: LocalData, z: complex, ctx: QContext) -> np.ndarray:
 
     e_D holds the q-characters of the exponents, from one qcharacter call
     (via 1/z and 1/lambda on the infinity side).  The q-logarithm polynomial
-    of the unipotent part satisfies the required shift law on both sides.
+    of the unipotent part satisfies the required shift law on both sides;
+    l_q is evaluated only when U != I.
     """
     lam = np.array(local.exponents, dtype=complex)
     if local.side == "zero":
         eD = qcharacter(lam, z, ctx)
     else:
         eD = qcharacter(1.0 / lam, 1.0 / z, ctx)
-    return eD[:, None] * _unipotent_power(local.U, z, ctx)
+    if not local.logarithmic:
+        return eD[:, None] * np.eye(3, dtype=complex)
+    return eD[:, None] * _unipotent_power(local.U, lq(z, ctx))
 
 
 def fmatrix_at(local: LocalData, p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:

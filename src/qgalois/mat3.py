@@ -71,13 +71,18 @@ def psl2_eigenvalue_check(M: np.ndarray, tol: float = 1e-8) -> bool:
     return abs(w[i1] - 1.0) <= tol * scale and abs(rest[0] * rest[1] - 1.0) <= tol * scale
 
 
+def _check_index_pairs(*pairs) -> None:
+    """BadIndexError unless each pair is two distinct indices in {1, 2, 3}."""
+    for pair in pairs:
+        if len(pair) != 2 or pair[0] == pair[1] or not all(i in (1, 2, 3) for i in pair):
+            raise BadIndexError(f"bad index pair {pair}")
+
+
 def minor2(M: np.ndarray, rows: tuple[int, int], cols: tuple[int, int]) -> complex:
     """2x2 minor of M for 1-based row/column index pairs (matching the usual
     mathematical indexing of the connection-matrix identities)."""
     M = np.asarray(M, dtype=complex)
-    for pair in (rows, cols):
-        if len(pair) != 2 or pair[0] == pair[1] or not all(i in (1, 2, 3) for i in pair):
-            raise BadIndexError(f"bad index pair {pair}")
+    _check_index_pairs(rows, cols)
     (i1, i2), (j1, j2) = rows, cols
     return complex(
         M[i1 - 1, j1 - 1] * M[i2 - 1, j2 - 1] - M[i1 - 1, j2 - 1] * M[i2 - 1, j1 - 1]

@@ -4,8 +4,8 @@ the q-logarithm, and the 3phi2 basic hypergeometric series.
 All evaluations are error-bounded: truncated series/products stop once a
 geometric tail bound drops below ctx.eps_trunc, with a hard cap of ctx.n_max
 terms, and the series-valued operations return a TruncationReport alongside
-the value.  theta also takes an array of z, and qcharacter an array of
-lambda; the theta series has one truncation order per context, so every
+the value.  theta and lq also take an array of z, and qcharacter an array
+of lambda; the theta series has one truncation order per context, so every
 element gets the same arithmetic as a scalar.
 """
 
@@ -25,14 +25,11 @@ from .errors import (
     NonConvergentError,
     PoleError,
 )
-from .spiral import in_q_spiral, spiral_clearance
+from .spiral import spiral_clearance
 
 __all__ = [
-    "qpochhammer_finite",
     "qpochhammer_infinite",
-    "qpoch_inf_product",
     "theta",
-    "theta_d1",
     "theta_triple_product",
     "qcharacter",
     "lq",
@@ -41,18 +38,6 @@ __all__ = [
 ]
 
 _LOG_MAX = math.log(sys.float_info.max)
-
-
-def qpochhammer_finite(a: complex, ctx: QContext, n: int) -> complex:
-    """(a;q)_n = (1-a)(1-aq)...(1-aq^(n-1)); the empty product (n=0) is 1."""
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    out = 1.0 + 0j
-    aq = complex(a)
-    for _ in range(n):
-        out *= 1.0 - aq
-        aq *= ctx.q
-    return out
 
 
 def qpochhammer_infinite(a: complex, ctx: QContext) -> tuple[complex, TruncationReport]:
@@ -72,14 +57,6 @@ def qpochhammer_infinite(a: complex, ctx: QContext) -> tuple[complex, Truncation
             )
     tail = abs(aq) / (1.0 - absq)
     return out, TruncationReport(terms_used=n, tail_bound=tail, converged=True)
-
-
-def qpoch_inf_product(values: Sequence[complex], ctx: QContext) -> complex:
-    """Product of (v;q)_infinity over a tuple of arguments."""
-    out = 1.0 + 0j
-    for v in values:
-        out *= qpochhammer_infinite(v, ctx)[0]
-    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -144,12 +121,6 @@ def _theta_shift(z: np.ndarray, ctx: QContext) -> tuple[np.ndarray, np.ndarray, 
     return k, np.exp(log_w), np.exp(expo)
 
 
-def _checked(values: np.ndarray, z) -> np.ndarray:
-    if not np.isfinite(values).all():
-        raise DomainError(f"theta leaves double range at z = {z}")
-    return values
-
-
 def theta(z, ctx: QContext):
     """Jacobi theta theta_q(z) = (q;q)_inf (z;q)_inf (q/z;q)_inf, at a complex
     z or elementwise over an array (same shape back).
@@ -163,27 +134,10 @@ def theta(z, ctx: QContext):
     z = np.asarray(z, dtype=complex)
     _, w, f = _theta_shift(z.reshape(-1), ctx)
     terms, _ = _theta_terms(w, ctx)
-    out = _checked(f * np.add.accumulate(terms, axis=0)[-1], z)
+    out = f * np.add.accumulate(terms, axis=0)[-1]
+    if not np.isfinite(out).all():
+        raise DomainError(f"theta leaves double range at z = {z}")
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
-
-
-def _theta_jet(z: complex, ctx: QContext) -> tuple[complex, float, complex, complex]:
-    """(theta'(z), k, s0, s1) at one z != 0.
-
-    With z = q^k w and theta(z) = f theta(w) as in _theta_shift, the sums
-    s0 = theta(w) and s1 = w theta'(w) are taken on the core annulus; then
-    theta'(z) = f (s1 - k s0) / z and -z theta'(z)/theta(z) = k - s1/s0.
-    Raises DomainError where theta or theta' leaves double range."""
-    k, w, f = _theta_shift(np.array([z], dtype=complex), ctx)
-    terms, moments = _theta_terms(w, ctx)
-    s0, s1 = np.add.accumulate(moments * terms, axis=1)[:, -1]
-    d1 = _checked(np.array([f * s0, f * (s1 - k * s0) / z]), z)[1, 0]
-    return complex(d1), float(k[0]), complex(s0[0]), complex(s1[0])
-
-
-def theta_d1(z: complex, ctx: QContext) -> complex:
-    """First derivative of theta_q; DomainError where it leaves double range."""
-    return _theta_jet(z, ctx)[0]
 
 
 def theta_triple_product(z: complex, ctx: QContext) -> complex:
@@ -226,17 +180,27 @@ def qcharacter(lam, z: complex, ctx: QContext):
     return complex(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
 
 
-def lq(z: complex, ctx: QContext) -> complex:
-    """q-logarithm l_q(z) = -z * theta'_q(z)/theta_q(z); l_q(qz) = l_q(z) + 1.
+def lq(z, ctx: QContext):
+    """q-logarithm l_q(z) = -z * theta'_q(z)/theta_q(z), with l_q(qz) =
+    l_q(z) + 1, at a complex z or elementwise over an array (same shape back).
 
-    Raises DomainError where theta or theta' leaves double range."""
-    if z == 0:
+    With z = q^k w and w on the core annulus (as in theta), the sums
+    s0 = theta(w) and s1 = w theta'(w) come from the same terms as theta, and
+    l_q(z) = k - s1/s0.  Raises PoleError within eps_spiral of q^Z and
+    DomainError where theta leaves double range.
+    """
+    z = np.asarray(z, dtype=complex)
+    flat = z.reshape(-1)
+    if not flat.all():
         raise DomainError("lq undefined at z = 0")
-    zero = in_q_spiral(z, ctx)
-    if zero.member:
-        raise PoleError(f"lq pole: z within {zero.distance:.2e} of q^{zero.k}")
-    _, k, s0, s1 = _theta_jet(z, ctx)
-    return k - s1 / s0
+    clearance = spiral_clearance(flat, ctx)
+    if (clearance < ctx.eps_spiral).any():
+        raise PoleError(f"lq pole: z within {clearance.min():.2e} of q^Z")
+    k, w, _ = _theta_shift(flat, ctx)
+    terms, moments = _theta_terms(w, ctx)
+    s0, s1 = np.add.accumulate(moments * terms, axis=1)[:, -1]
+    out = k - s1 / s0
+    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
 def qhyper_series(

@@ -3,12 +3,14 @@ ellipticity, determinant/minor closed forms, and the logarithmic limits."""
 
 import cmath
 import json
+import math
 
 import numpy as np
 import pytest
 
-from qgalois import cli, connection, qseries
+from qgalois import cli, connection, galois, hypersystem, qseries
 from qgalois import (
+    BadIndexError,
     HyperParams,
     QContext,
     SpiralCollisionError,
@@ -19,9 +21,8 @@ from qgalois import (
     minor2,
     minor_formula,
     pochhammer_coefficient,
-    qpoch_inf_product,
+    qpochhammer_infinite,
     theta,
-    theta_d1,
     twisted_birkhoff,
     g_endomorphism,
 )
@@ -30,6 +31,11 @@ from qgalois import (
 @pytest.fixture
 def p(ctx):
     return HyperParams.from_exponents(ctx, (0.13, 0.37, 0.71), (0.29, 0.58))
+
+
+def qpoch_inf_product(values, ctx):
+    """Product of (v;q)_inf over values."""
+    return math.prod(qpochhammer_infinite(v, ctx)[0] for v in values)
 
 
 def _annulus(rng, ctx, n):
@@ -144,7 +150,8 @@ def test_doubly_log_core_entries(ctx):
     zq = 1.0 / a
     coreq = core_numeric(pl, zq, ctx)
     assert abs(coreq[2, 0]) < 1e-8
-    pred32 = c * theta_d1(1.0, ctx) / theta(zq, ctx)
+    # theta'(1) = -(q;q)_inf^3, from the factor (1 - z) of (z;q)_inf
+    pred32 = c * -(qq ** 3) / theta(zq, ctx)
     assert abs(coreq[2, 1] - pred32) < 1e-5 * abs(pred32)
 
 
@@ -281,6 +288,17 @@ def test_genericity_error_raised_on_every_call(ctx):
             minor_formula(bad, (1, 2), (1, 2), z, ctx)
 
 
+@pytest.mark.parametrize("bad", [(1, 2, 3), (1,), (1, 1), (0, 1)])
+def test_minor_formula_and_minor2_reject_bad_index_pairs(ctx, p, bad):
+    z = 0.7 + 0.1j
+    B = twisted_birkhoff(p, z, ctx)
+    for rows, cols in ((bad, (1, 2)), ((1, 2), bad)):
+        with pytest.raises(BadIndexError):
+            minor_formula(p, rows, cols, z, ctx)
+        with pytest.raises(BadIndexError):
+            minor2(B, rows, cols)
+
+
 def test_constants_are_not_shared_between_equal_instances(monkeypatch, ctx, p):
     calls = _counting_qpoch(monkeypatch)
     z = 0.7 + 0.2j
@@ -365,6 +383,26 @@ def test_twisted_birkhoff_covers_the_logarithmic_cases(q, case):
     assert mats.shape == (3, 3, 3)
     assert np.array_equal(mats, stacked)
     assert np.array_equal(twisted_birkhoff(pl, zs[1], ctx), stacked[1])
+
+
+def test_twisted_birkhoff_makes_one_lq_call_per_batch(monkeypatch, ctx):
+    pl = _log_params(ctx, "iv")
+    points = [
+        galois.base_point(pl, ctx),
+        *galois.omega_samples(pl, ctx),
+        *galois._relation_zero_points(pl, "iv", ctx),
+    ]
+    calls = []
+    original = qseries.lq
+
+    def counted(z, ctx):
+        calls.append(np.shape(z))
+        return original(z, ctx)
+
+    for module in (qseries, hypersystem, connection):
+        monkeypatch.setattr(module, "lq", counted)
+    assert twisted_birkhoff(pl, points, ctx).shape == (19, 3, 3)
+    assert calls == [(19,)]
 
 
 @pytest.mark.parametrize("method", ["both", "closed_form"])

@@ -246,9 +246,9 @@ def test_classify_case_i_evaluates_one_batch(ctx, monkeypatch):
         batches.append(np.shape(z))
         return real_twisted(p, z, ctx)
 
-    def samples(p, ctx, per_circle=8):
+    def samples(p, ctx):
         sample_calls.append(p)
-        return real_samples(p, ctx, per_circle)
+        return real_samples(p, ctx)
 
     monkeypatch.setattr(connection, "twisted_birkhoff", twisted)
     monkeypatch.setattr(galois, "omega_samples", samples)

@@ -130,6 +130,22 @@ def test_log_e_matrix_cocycle(ctx, rng):
             assert np.max(np.abs(eq - loc.J @ e)) < 1e-9 * np.max(np.abs(e))
 
 
+@pytest.mark.parametrize("q", [0.5, 0.5 * cmath.exp(0.5j)])
+def test_unipotent_power_inverse_and_shift(q):
+    # both logarithmic U: J_q at 0 and a J_infinity at infinity
+    ctx = QContext(q)
+    a = ctx.qpow(0.3)
+    pl = HyperParams(a=(a, a, a), b2=ctx.q, b3=ctx.q)
+    eye = np.eye(3)
+    for U in (local_solution_zero_log(pl, ctx).U, local_solution_infinity_log(pl, ctx).U):
+        for ell in (0.37 - 1.2j, np.array([[0.5, -2.0 + 0.3j], [1.1j, -0.8 - 0.4j]])):
+            up = hypersystem._unipotent_power(U, ell)
+            assert up.shape == np.shape(ell) + (3, 3)
+            assert np.max(np.abs(up @ hypersystem._unipotent_power(U, -ell) - eye)) < 1e-14
+            step = hypersystem._unipotent_power(U, np.asarray(ell) + 1.0)
+            assert np.max(np.abs(step - U @ up)) < 1e-14
+
+
 def test_log_zero_ladder(ctx, rng):
     pl = HyperParams(
         a=(ctx.qpow(0.13), ctx.qpow(0.37), ctx.qpow(0.71)), b2=ctx.q, b3=ctx.q
