@@ -28,7 +28,6 @@ from .spiral import (
     decompose,
     in_q_spiral,
     log_q,
-    g_endomorphism,
     gamma1,
     gamma2,
 )
@@ -59,7 +58,6 @@ from .hypersystem import (
     local_solution_infinity_log,
     e_matrix,
     fmatrix_at,
-    solution_matrix,
     gauge_residual,
     ladder_order,
 )

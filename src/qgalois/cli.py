@@ -11,7 +11,7 @@ import argparse
 import cmath
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -22,15 +22,7 @@ from . import connection as cn
 from . import galois as ga
 from . import verify as vf
 
-__all__ = ["RunConfig", "build_parser", "cmd_classify", "cmd_connection", "cmd_verify", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed common options shared by all subcommands."""
-
-    ctx: QContext
-    fmt: str
+__all__ = ["build_parser", "cmd_classify", "cmd_connection", "cmd_verify", "main"]
 
 
 def _parse_complex(text: str, q: complex) -> complex:
@@ -51,10 +43,9 @@ def _parse_triple(text: str, q: complex, name: str, count: int) -> tuple[complex
     return tuple(_parse_complex(p, q) for p in parts)
 
 
-def _make_config(args: argparse.Namespace) -> RunConfig:
+def _context(args: argparse.Namespace) -> QContext:
     q = complex(args.q) if "," not in args.q else complex(*map(float, args.q.split(",")))
-    ctx = QContext(q, eps_trunc=args.eps_trunc, eps_spiral=args.eps_spiral)
-    return RunConfig(ctx=ctx, fmt=args.format)
+    return QContext(q, eps_trunc=args.eps_trunc, eps_spiral=args.eps_spiral)
 
 
 def _params(args: argparse.Namespace, ctx: QContext) -> HyperParams:
@@ -104,13 +95,13 @@ def _emit(payload: dict, fmt: str) -> None:
         walk("", _jsonable(payload))
 
 
-def cmd_classify(config: RunConfig, p: HyperParams) -> int:
-    report = ga.classify(p, config.ctx)
+def cmd_classify(ctx: QContext, fmt: str, p: HyperParams) -> int:
+    report = ga.classify(p, ctx)
     payload = {
         "command": "classify",
-        "q": config.ctx.q,
+        "q": ctx.q,
         "a": list(p.a),
-        "b": list(p.b(config.ctx)),
+        "b": list(p.b(ctx)),
         "q_real": report.q_real,
         "irreducible": report.irreducible,
         "witnesses": [list(w) for w in report.witnesses],
@@ -123,15 +114,14 @@ def cmd_classify(config: RunConfig, p: HyperParams) -> int:
         "base_point": report.base_point,
         "samples": list(report.samples),
         "generators": [{"label": label, "matrix": M} for label, M in report.generators],
-        "spiral_distances": [list(d) for d in ga.irreducibility(p, config.ctx).distances],
+        "spiral_distances": [list(d) for d in ga.irreducibility(p, ctx).distances],
         "notes": list(report.notes),
     }
-    _emit(payload, config.fmt)
+    _emit(payload, fmt)
     return 0 if report.classification != "undetermined" else 2
 
 
-def cmd_connection(config: RunConfig, p: HyperParams, zs: list[complex]) -> int:
-    ctx = config.ctx
+def cmd_connection(ctx: QContext, fmt: str, p: HyperParams, zs: list[complex]) -> int:
     rows = []
     for z in zs:
         entry: dict = {"z": z}
@@ -146,12 +136,12 @@ def cmd_connection(config: RunConfig, p: HyperParams, zs: list[complex]) -> int:
         except QGaloisError as exc:
             entry["skipped"] = f"{type(exc).__name__}: {exc}"
         rows.append(entry)
-    _emit({"command": "connection", "q": ctx.q, "rows": rows}, config.fmt)
+    _emit({"command": "connection", "q": ctx.q, "rows": rows}, fmt)
     return 2 if any("skipped" in row for row in rows) else 0
 
 
-def cmd_verify(config: RunConfig, suite: str, seed: int) -> int:
-    results = vf.run_suite(suite, config.ctx, seed=seed)
+def cmd_verify(ctx: QContext, fmt: str, suite: str, seed: int) -> int:
+    results = vf.run_suite(suite, ctx, seed=seed)
     payload = {
         "command": "verify",
         "suite": suite,
@@ -167,7 +157,7 @@ def cmd_verify(config: RunConfig, suite: str, seed: int) -> int:
         ],
         "all_passed": all(r.passed for r in results),
     }
-    _emit(payload, config.fmt)
+    _emit(payload, fmt)
     return 0 if payload["all_passed"] else 2
 
 
@@ -217,17 +207,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        config = _make_config(args)
+        ctx, fmt = _context(args), args.format
         if args.command == "classify":
-            return cmd_classify(config, _params(args, config.ctx))
+            return cmd_classify(ctx, fmt, _params(args, ctx))
         if args.command == "connection":
-            zs = [
-                _parse_complex(s, config.ctx.q)
-                for s in args.z.split(",")
-                if s.strip()
-            ]
-            return cmd_connection(config, _params(args, config.ctx), zs)
-        return cmd_verify(config, args.suite, args.seed)
+            zs = [_parse_complex(s, ctx.q) for s in args.z.split(",") if s.strip()]
+            if not zs:
+                raise ValueError("--z needs at least one evaluation point")
+            return cmd_connection(ctx, fmt, _params(args, ctx), zs)
+        return cmd_verify(ctx, fmt, args.suite, args.seed)
     except (ValueError, QGaloisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -80,10 +80,8 @@ __all__ = [
 class ConnectionEval:
     """Connection matrices at one point, by one or both methods."""
 
-    z: complex
     P: np.ndarray
     P_twisted: np.ndarray
-    method: str
     residual_cross: float | None = None
 
 
@@ -211,8 +209,11 @@ class _Equation:
     def weights(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Row weights (1/z)^(-alpha_i) and column weights z^(-beta_j) of the
         twisted matrix at z (a complex or an array), each of shape
-        z.shape + (3,).  They are 1/g_{1/z}(a_i) and 1/g_z(b_j), computed as
-        exp(-omega log_q(w) log q) from one log_q at w = 1/z and w = z."""
+        z.shape + (3,).  They are 1/g_{1/z}(a_i) and 1/g_z(b_j), where the
+        twisting endomorphism g_w is the continuous endomorphism of C* that
+        kills the unit circle and sends q to w: g_w(u q^omega) = w^omega,
+        computed as exp(omega log_q(w) log q) from one log_q at w = 1/z and
+        w = z."""
         z = np.asarray(z, dtype=complex)
         logs = -self.ctx.log_q * np.asarray(log_q(np.stack((1.0 / z, z)), self.ctx))
         alphas, betas = self.exponents
@@ -411,9 +412,7 @@ def connection_eval(
         Pn = np.linalg.solve(ei, numeric) @ e0
         res = float(np.max(np.abs(Pn - P)) / max(np.max(np.abs(P)), 1e-300))
     return ConnectionEval(
-        z=z,
         P=P,
         P_twisted=_equation(p, ctx).twisted(z, core),
-        method=method,
         residual_cross=res,
     )

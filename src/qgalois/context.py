@@ -2,7 +2,8 @@
 
 Every numeric routine in the package is a pure function of its inputs and a
 QContext.  The context fixes q with 0 < |q| < 1, the principal branch of
-log q, and the truncation / spiral-membership tolerances.
+log q, and the truncation / spiral-membership tolerances.  The hard cap on
+series and product terms is not a setting: it is the qseries constant _N_MAX.
 """
 
 from __future__ import annotations
@@ -20,21 +21,17 @@ class QContext:
     q          : complex with 0 < |q| < 1.
     eps_trunc  : tail bound at which series/products are truncated.
     eps_spiral : relative tolerance for q^Z spiral membership verdicts.
-    n_max      : hard cap on series/product terms.
     """
 
     q: complex
     eps_trunc: float = 1e-12
     eps_spiral: float = 1e-9
-    n_max: int = 10_000
 
     def __post_init__(self):
         if not 0.0 < abs(self.q) < 1.0:
             raise DomainError(f"need 0 < |q| < 1, got |q| = {abs(self.q)}")
         if self.eps_trunc <= 0 or self.eps_spiral <= 0:
             raise DomainError("tolerances must be positive")
-        if self.n_max <= 0:
-            raise DomainError("n_max must be positive")
 
     @property
     def log_q(self) -> complex:
@@ -48,8 +45,8 @@ class QContext:
 
 @dataclass(frozen=True)
 class TruncationReport:
-    """How a truncated series/product evaluation went."""
+    """How a truncated series/product evaluation went; one that does not
+    converge raises NonConvergentError instead."""
 
     terms_used: int
     tail_bound: float
-    converged: bool

@@ -66,7 +66,6 @@ class IrreducibilityVerdict:
 class GaloisReport:
     """Full classification report for one parameter set."""
 
-    params: HyperParams
     normalized: HyperParams | None
     shifts: tuple[tuple[int, ...], tuple[int, ...]] | None
     q_real: bool
@@ -354,12 +353,11 @@ def classify(p: HyperParams, ctx: QContext) -> GaloisReport:
     irr = irreducibility(p, ctx)
     if not irr.irreducible:
         return GaloisReport(
-            params=p, normalized=None, shifts=None, q_real=q_real,
-            irreducible=False, witnesses=irr.witnesses, lie_case=None,
-            generators=(), obstruction_residual=None,
-            classification="undetermined", scalar_generators=None,
-            scalar_resolution=None, base_point=None, samples=(),
-            notes=("reducible: a_i/b_j on q^Z", ),
+            normalized=None, shifts=None, q_real=q_real, irreducible=False,
+            witnesses=irr.witnesses, lie_case=None, generators=(),
+            obstruction_residual=None, classification="undetermined",
+            scalar_generators=None, scalar_resolution=None, base_point=None,
+            samples=(), notes=("reducible: a_i/b_j on q^Z", ),
         )
     pn, shifts = normalize_parameters(p, ctx)
     if any(k != 0 for k in shifts[0] + shifts[1]):
@@ -369,7 +367,7 @@ def classify(p: HyperParams, ctx: QContext) -> GaloisReport:
 
     if not q_real:
         return GaloisReport(
-            params=p, normalized=pn, shifts=shifts, q_real=False,
+            normalized=pn, shifts=shifts, q_real=False,
             irreducible=True, witnesses=(), lie_case=tag, generators=(),
             obstruction_residual=None, classification="undetermined",
             scalar_generators=None, scalar_resolution=None, base_point=None,
@@ -406,7 +404,7 @@ def classify(p: HyperParams, ctx: QContext) -> GaloisReport:
         classification = "SL3_extended"
         scalars, resolution = _scalar_data(pn, ctx)
     return GaloisReport(
-        params=p, normalized=pn, shifts=shifts, q_real=True, irreducible=True,
+        normalized=pn, shifts=shifts, q_real=True, irreducible=True,
         witnesses=(), lie_case=tag, generators=gens,
         obstruction_residual=residual, classification=classification,
         scalar_generators=scalars, scalar_resolution=resolution,

@@ -16,12 +16,14 @@ fmatrix_at continues F beyond the series radius by the functional equation.
 Every local exponent matrix is J = diag(exponents) U, read off the
 parameters: diag(1, q/b2, q/b3) or the unipotent J_q at 0, diag(1/a_i) or
 (1/a) (a J_infinity) at infinity.  LocalData stores J, the exponents and the
-unipotent part U; e_J is then e_D U^(l_q(z)), with e_D from one q-character
-call over the exponents.
+unipotent part U, and inverts J once, when fmatrix_at first continues F
+toward 0 on the infinity side; e_J is then e_D U^(l_q(z)), with e_D from one
+q-character call over the exponents.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
@@ -51,7 +53,6 @@ __all__ = [
     "local_solution_infinity_log",
     "e_matrix",
     "fmatrix_at",
-    "solution_matrix",
     "gauge_residual",
     "ladder_order",
 ]
@@ -140,8 +141,8 @@ class LocalData:
     """A local fundamental solution Y = F e_J at one singular point.
 
     F is the series evaluator for the gauge matrix, valid for |z| <= radius
-    at 0 and |z| >= radius at infinity; beyond that use fmatrix_at /
-    solution_matrix, which continue it with the functional equation.
+    at 0 and |z| >= radius at infinity; beyond that use fmatrix_at, which
+    continues it with the functional equation.
     """
 
     side: str  # "zero" | "infinity"
@@ -154,6 +155,12 @@ class LocalData:
     @property
     def logarithmic(self) -> bool:
         return bool((self.U != np.eye(3)).any())
+
+    @functools.cached_property
+    def J_inv(self) -> np.ndarray:
+        """J^{-1}, for continuing F toward 0 on the infinity side; computed on
+        first use."""
+        return np.linalg.inv(self.J)
 
 
 def _denominator(p: HyperParams, z: complex, ctx: QContext) -> complex:
@@ -331,17 +338,11 @@ def fmatrix_at(local: LocalData, p: HyperParams, z: complex, ctx: QContext) -> n
         return local.F(z)
     m = max(1, math.ceil(math.log(local.radius / abs(z)) / math.log(1.0 / absq)))
     val = local.F(z / ctx.q ** m)
-    rinv = np.linalg.inv(local.J)
     for j in range(m - 1, -1, -1):
         prev = z / ctx.q ** (j + 1)
         A = system_matrix(p, prev, ctx)
-        val = A @ val @ rinv
+        val = A @ val @ local.J_inv
     return val
-
-
-def solution_matrix(local: LocalData, p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:
-    """Fundamental solution Y(z) = F(z) e_J(z)."""
-    return fmatrix_at(local, p, z, ctx) @ e_matrix(local, z, ctx)
 
 
 def gauge_residual(local: LocalData, p: HyperParams, z: complex, ctx: QContext) -> float:

@@ -2,11 +2,11 @@
 the q-logarithm, and the 3phi2 basic hypergeometric series.
 
 All evaluations are error-bounded: truncated series/products stop once a
-geometric tail bound drops below ctx.eps_trunc, with a hard cap of ctx.n_max
-terms, and the series-valued operations return a TruncationReport alongside
-the value.  theta and lq also take an array of z, and qcharacter an array
-of lambda; the theta series has one truncation order per context, so every
-element gets the same arithmetic as a scalar.
+geometric tail bound drops below ctx.eps_trunc, and raise NonConvergentError
+past the hard cap of _N_MAX terms; the series-valued operations return a
+TruncationReport alongside the value.  theta and lq also take an array of z,
+and qcharacter an array of lambda; the theta series has one truncation order
+per context, so every element gets the same arithmetic as a scalar.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _LOG_MAX = math.log(sys.float_info.max)
+_N_MAX = 10_000  # hard cap on series and product terms
 
 
 def qpochhammer_infinite(a: complex, ctx: QContext) -> tuple[complex, TruncationReport]:
@@ -51,12 +52,12 @@ def qpochhammer_infinite(a: complex, ctx: QContext) -> tuple[complex, Truncation
         out *= 1.0 - aq
         aq *= ctx.q
         n += 1
-        if n > ctx.n_max:
+        if n > _N_MAX:
             raise NonConvergentError(
-                f"(a;q)_inf tail not below {ctx.eps_trunc} after {ctx.n_max} factors"
+                f"(a;q)_inf tail not below {ctx.eps_trunc} after {_N_MAX} factors"
             )
     tail = abs(aq) / (1.0 - absq)
-    return out, TruncationReport(terms_used=n, tail_bound=tail, converged=True)
+    return out, TruncationReport(terms_used=n, tail_bound=tail)
 
 
 @functools.lru_cache(maxsize=16)
@@ -76,7 +77,7 @@ def _theta_plan(ctx: QContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = 1
     while 0.5 * n * (n - 2) * lq < math.log((1.0 + n * n) / ctx.eps_trunc):
         n += 1
-        if n > ctx.n_max:
+        if n > _N_MAX:
             raise NonConvergentError("theta series did not converge")
     qpow = np.cumprod(np.full(n, ctx.q, dtype=complex))  # q, ..., q^N
     up = -np.concatenate(([1.0], qpow[:-1]))[:, None]
@@ -218,7 +219,7 @@ def qhyper_series(
     if az >= 1.0:
         raise DivergenceError(f"series needs |z| < 1, got {az}")
     if z == 0:
-        return 1.0 + 0j, TruncationReport(terms_used=1, tail_bound=0.0, converged=True)
+        return 1.0 + 0j, TruncationReport(terms_used=1, tail_bound=0.0)
     term = 1.0 + 0j
     total = 1.0 + 0j
     nums = [complex(v) for v in num]
@@ -242,8 +243,8 @@ def qhyper_series(
         # is essentially geometric with ratio |z|.
         tail = abs(term) * az / (1.0 - az)
         if tail < ctx.eps_trunc and n >= 4:
-            return total, TruncationReport(terms_used=n + 1, tail_bound=tail, converged=True)
-        if n > ctx.n_max:
+            return total, TruncationReport(terms_used=n + 1, tail_bound=tail)
+        if n > _N_MAX:
             raise NonConvergentError("q-hypergeometric series hit the term cap")
 
 

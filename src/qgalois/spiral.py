@@ -3,10 +3,8 @@
 Every nonzero complex number factors uniquely as c = u * q^omega with |u| = 1
 and omega real.  This module provides that decomposition, the discrete-spiral
 membership test c in q^Z, the clearance of c from q^Z, the branch-fixed
-logarithm log_q (the last two also elementwise over arrays), the twisting
-endomorphism g_z (the unique continuous endomorphism of C* killing U and
-sending q to z), and the two projections gamma1, gamma2 used for local
-Galois generators.
+logarithm log_q (the last two also elementwise over arrays), and the two
+projections gamma1, gamma2 used for local Galois generators.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from .errors import DomainError
 class SpiralPoint:
     """c = u * q^omega with |u| = 1 and omega real."""
 
-    value: complex
     u: complex
     omega: float
 
@@ -46,15 +43,24 @@ def decompose(c: complex, ctx: QContext) -> SpiralPoint:
     # |q^omega| = exp(omega * Re log q), so omega is fixed by |c| alone.
     omega = math.log(abs(c)) / ctx.log_q.real
     u = c / ctx.qpow(omega)
-    return SpiralPoint(value=c, u=u / abs(u), omega=omega)
+    return SpiralPoint(u=u / abs(u), omega=omega)
 
 
 def in_q_spiral(c: complex, ctx: QContext) -> SpiralVerdict:
-    """Is c on the discrete spiral q^Z, within eps_spiral relative tolerance?"""
-    sp = decompose(c, ctx)
-    k = round(sp.omega)
-    qk = ctx.qpow(k)
-    distance = abs(c - qk) / abs(qk)
+    """Is c on the discrete spiral q^Z, within eps_spiral relative tolerance?
+
+    With c = u * q^omega, k is the nearer of floor(omega) and ceil(omega) and
+    the distance |c - q^k| / |q^k| is spiral_clearance(c), in scalar
+    arithmetic."""
+    if c == 0:
+        raise DomainError("cannot decompose 0")
+    lnq = ctx.log_q
+    below = math.floor(math.log(abs(c)) / lnq.real)
+    candidates = []
+    for k in (below, below + 1):
+        qk = cmath.exp(k * lnq)
+        candidates.append((abs(c - qk) / abs(qk), k))
+    distance, k = min(candidates)
     return SpiralVerdict(distance < ctx.eps_spiral, k, distance)
 
 
@@ -93,18 +99,6 @@ def spiral_clearance(c, ctx: QContext):
     above = np.abs(c * np.exp(-(k + 1.0) * lnq) - 1.0)
     out = np.minimum(below, above)
     return float(out) if out.ndim == 0 else out
-
-
-def g_endomorphism(z: complex, lam: complex, ctx: QContext) -> complex:
-    """The twisting endomorphism g_z: kills the unit-circle factor, g_z(q) = z.
-
-    With lam = u * q^omega this is z^omega, computed as
-    exp(omega * log_q(z) * log q) along the fixed log_q branch.
-    """
-    if z == 0:
-        raise DomainError("g_z undefined for z = 0")
-    omega = decompose(lam, ctx).omega
-    return cmath.exp(omega * log_q(z, ctx) * ctx.log_q)
 
 
 def gamma1(c: complex, ctx: QContext) -> complex:

@@ -105,6 +105,16 @@ def test_connection_exit_code_reflects_skipped_rows(capsys, a, b, code, skipped)
     assert sum("skipped" in row for row in rows) == skipped
 
 
+@pytest.mark.parametrize("zs", [",", "", " , "])
+def test_connection_without_points_exit_1(capsys, zs):
+    code, out, err = _run(
+        capsys, "connection", "--q", "0.5",
+        "--a", "q^0.1,q^0.2,q^0.4", "--b", "q,q^0.15,q^0.33", "--z", zs,
+    )
+    assert code == 1
+    assert out == "" and "--z" in err
+
+
 def test_output_deterministic(capsys):
     _, out1, _ = _run(capsys, "verify", "--q", "0.5", "--suite", "characters", "--seed", "7")
     _, out2, _ = _run(capsys, "verify", "--q", "0.5", "--suite", "characters", "--seed", "7")

@@ -24,7 +24,8 @@ from qgalois import (
     qpochhammer_infinite,
     theta,
     twisted_birkhoff,
-    g_endomorphism,
+    decompose,
+    log_q,
 )
 
 
@@ -36,6 +37,12 @@ def p(ctx):
 def qpoch_inf_product(values, ctx):
     """Product of (v;q)_inf over values."""
     return math.prod(qpochhammer_infinite(v, ctx)[0] for v in values)
+
+
+def _g(w, lam, ctx):
+    """The twisting endomorphism g_w(lam) = w^omega for lam = u q^omega, as
+    the scalar exp(omega log_q(w) log q)."""
+    return cmath.exp(decompose(lam, ctx).omega * log_q(w, ctx) * ctx.log_q)
 
 
 def _annulus(rng, ctx, n):
@@ -122,9 +129,38 @@ def test_log_case_merged_b_column_display(ctx):
             pochhammer_coefficient(pl, i, 1, ctx)
             * theta(pl.a[i - 1] * z, ctx)
             / theta(z, ctx)
-            / g_endomorphism(1.0 / z, pl.a[i - 1], ctx)
+            / _g(1.0 / z, pl.a[i - 1], ctx)
         )
         assert abs(B[i - 1, 0] - expect) < 1e-9 * abs(expect)
+
+
+def _z_ring(rng, n=20):
+    return np.array([complex(rng.normal(), rng.normal()) for _ in range(n)])
+
+
+def test_twist_weight_of_q_is_inverse_z(ctx, p, rng):
+    # column weight z^(-beta_1) = 1/g_z(b_1) with b_1 = q and g_z(q) = z
+    z = _z_ring(rng)
+    _, cols = connection._equation(p, ctx).weights(z)
+    assert np.all(np.abs(cols[:, 0] - 1.0 / z) < 1e-12 / np.abs(z))
+
+
+def test_twist_weight_ignores_unit_circle_factor(ctx, p):
+    # g_z kills the unit circle: b2 and b2 e^(0.3i) have the same weight
+    turned = HyperParams(a=p.a, b2=p.b2 * cmath.exp(0.3j), b3=p.b3)
+    z = 0.7 + 0.2j
+    _, cols = connection._equation(p, ctx).weights(z)
+    _, turned_cols = connection._equation(turned, ctx).weights(z)
+    assert abs(turned_cols[1] - cols[1]) < 1e-12 * abs(cols[1])
+
+
+def test_twist_weight_multiplicative_in_parameter(ctx, rng):
+    # g_z is an endomorphism: the weight of b3 = b2^2 is the square of b2's
+    b2 = ctx.qpow(0.3)
+    sq = HyperParams(a=(ctx.qpow(0.13), ctx.qpow(0.37), ctx.qpow(0.71)), b2=b2, b3=b2 * b2)
+    z = np.concatenate(([0.7 + 0.2j], _z_ring(rng)))
+    _, cols = connection._equation(sq, ctx).weights(z)
+    assert np.all(np.abs(cols[:, 2] - cols[:, 1] ** 2) < 1e-12 * np.abs(cols[:, 2]))
 
 
 def test_log_case_merged_b_elliptic_core(ctx):
@@ -202,9 +238,9 @@ def _reference_p(p, i, j, ctx):
 def _weights(p, z, ctx, rows, cols):
     w = 1.0
     for i in rows:
-        w /= g_endomorphism(1.0 / z, p.a[i - 1], ctx)
+        w /= _g(1.0 / z, p.a[i - 1], ctx)
     for j in cols:
-        w /= g_endomorphism(z, p.b(ctx)[j - 1], ctx)
+        w /= _g(z, p.b(ctx)[j - 1], ctx)
     return w
 
 

@@ -256,3 +256,20 @@ def test_classify_case_i_evaluates_one_batch(ctx, monkeypatch):
     assert report.lie_case == "i" and report.obstruction_residual is not None
     assert batches == [(19,)]
     assert len(sample_calls) == 1
+
+
+@pytest.mark.parametrize("case", ["iii", "iv"])
+def test_classify_logarithmic_inverts_j_once(ctx, monkeypatch, case):
+    # fmatrix_at continues the infinity side toward 0 with J^-1 at every
+    # sample point; the inverse is taken once per local solution
+    real = np.linalg.inv
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    report = classify(_case_params(ctx, case), ctx)
+    assert report.lie_case == case and report.obstruction_residual is not None
+    assert len(calls) == 1

@@ -18,7 +18,6 @@ from qgalois import (
     local_solution_infinity_log,
     local_solution_zero,
     local_solution_zero_log,
-    solution_matrix,
     spiral_pattern,
     system_matrix,
 )
@@ -90,8 +89,8 @@ def test_gauge_identity_infinity(ctx, p, rng):
 def test_solution_matrix_satisfies_system(ctx, p, rng):
     loc0 = local_solution_zero(p, ctx)
     for z in _ring(rng, 6, 0.4, 0.9):
-        Y = solution_matrix(loc0, p, z, ctx)
-        Yq = solution_matrix(loc0, p, ctx.q * z, ctx)
+        Y = fmatrix_at(loc0, p, z, ctx) @ e_matrix(loc0, z, ctx)
+        Yq = fmatrix_at(loc0, p, ctx.q * z, ctx) @ e_matrix(loc0, ctx.q * z, ctx)
         A = system_matrix(p, z, ctx)
         assert np.max(np.abs(Yq - A @ Y)) < 1e-9 * np.max(np.abs(Y))
 

@@ -1,5 +1,5 @@
-"""Unit-circle x q^R decomposition, spiral membership, log_q, and the
-twisting endomorphism."""
+"""Unit-circle x q^R decomposition, spiral membership and clearance, and
+log_q."""
 
 import cmath
 import math
@@ -11,7 +11,6 @@ from qgalois import (
     DomainError,
     QContext,
     decompose,
-    g_endomorphism,
     gamma1,
     gamma2,
     in_q_spiral,
@@ -66,27 +65,6 @@ def test_log_q_branch_phase_in_unit_band(ctx):
         assert abs(t.imag) < 1e-12
 
 
-def test_g_endomorphism_sends_q_to_z(ctx, rng):
-    for _ in range(20):
-        z = complex(rng.normal(), rng.normal())
-        if abs(z) < 1e-3:
-            continue
-        assert abs(g_endomorphism(z, ctx.q, ctx) - z) < 1e-12 * abs(z)
-
-
-def test_g_endomorphism_kills_unit_circle(ctx):
-    z = 0.7 + 0.2j
-    assert abs(g_endomorphism(z, cmath.exp(0.3j), ctx) - 1.0) < 1e-12
-
-
-def test_g_endomorphism_multiplicative_in_lambda(ctx):
-    z = 0.7 + 0.2j
-    l1, l2 = ctx.qpow(0.3), ctx.qpow(0.45)
-    lhs = g_endomorphism(z, l1 * l2, ctx)
-    rhs = g_endomorphism(z, l1, ctx) * g_endomorphism(z, l2, ctx)
-    assert abs(lhs - rhs) < 1e-12 * abs(rhs)
-
-
 def test_gamma_projections(ctx):
     c = cmath.exp(0.4j) * ctx.qpow(1.7)
     assert abs(gamma1(c, ctx) - cmath.exp(0.4j)) < 1e-12
@@ -110,3 +88,16 @@ def test_spiral_clearance_is_the_nearest_spiral_point(q, rng):
         # beyond 1 - |q| the minimum may come from far-away spiral points
         assert abs(min(d, cap) - min(brute, cap)) <= 1e-12 * max(brute, 1e-300) + 1e-15
     assert spiral_clearance(complex(cs[0]), ctx) == clearance[0]
+
+
+@pytest.mark.parametrize("q", [0.5, 0.5 * cmath.exp(0.5j), 0.7])
+def test_spiral_distance_is_the_clearance(q, rng):
+    # the nearer of q^floor(omega) and q^ceil(omega); measured from
+    # q^round(omega) instead, -q^0.6 at q = 0.5 reads 2.32 against 1.66
+    ctx = QContext(q)
+    omegas = np.concatenate([rng.uniform(-3.0, 3.0, 80), [0.6, 0.55, 2.52]])
+    phases = np.concatenate([rng.uniform(-math.pi, math.pi, 80), [math.pi, 0.0, 2.0]])
+    for c in np.exp(1j * phases + omegas * ctx.log_q):
+        c = complex(c)
+        d = spiral_clearance(c, ctx)
+        assert abs(in_q_spiral(c, ctx).distance - d) <= 1e-14 * d
