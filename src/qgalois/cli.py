@@ -44,7 +44,10 @@ def _parse_triple(text: str, q: complex, name: str, count: int) -> tuple[complex
 
 
 def _context(args: argparse.Namespace) -> QContext:
-    q = complex(args.q) if "," not in args.q else complex(*map(float, args.q.split(",")))
+    parts = args.q.split(",")
+    if len(parts) > 2:
+        raise ValueError(f"--q takes one value or 're,im', got {args.q!r}")
+    q = complex(args.q) if len(parts) == 1 else complex(*map(float, parts))
     return QContext(q, eps_trunc=args.eps_trunc, eps_spiral=args.eps_spiral)
 
 
@@ -114,7 +117,7 @@ def cmd_classify(ctx: QContext, fmt: str, p: HyperParams) -> int:
         "base_point": report.base_point,
         "samples": list(report.samples),
         "generators": [{"label": label, "matrix": M} for label, M in report.generators],
-        "spiral_distances": [list(d) for d in ga.irreducibility(p, ctx).distances],
+        "spiral_distances": [list(d) for d in report.irreducibility.distances],
         "notes": list(report.notes),
     }
     _emit(payload, fmt)

@@ -49,6 +49,7 @@ from .hypersystem import (
     HyperParams,
     LocalData,
     SpiralPattern,
+    _check_point,
     _unipotent_power,
     e_matrix,
     fmatrix_at,
@@ -300,6 +301,7 @@ def pochhammer_coefficient(p: HyperParams, i: int, j: int, ctx: QContext) -> com
 def core_closed_form(p: HyperParams, z, ctx: QContext) -> np.ndarray:
     """The theta-quotient core M with M_ij = p_ij theta_q(q a_i z/b_j)/theta_q(z);
     z may be an array, giving shape z.shape + (3, 3)."""
+    _check_point(z)
     return _generic(p, ctx).core(z)
 
 
@@ -311,6 +313,7 @@ def local_pair(p: HyperParams, ctx: QContext) -> tuple[LocalData, LocalData]:
 
 def core_numeric(p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:
     """F_infinity(z)^{-1} F_zero(z), both gauge matrices continued to z."""
+    _check_point(z)
     loc0, locinf = local_pair(p, ctx)
     Fi = fmatrix_at(locinf, p, z, ctx)
     if abs(np.linalg.det(Fi)) < 1e-13 * np.linalg.norm(Fi) ** 3:
@@ -332,6 +335,7 @@ def twisted_birkhoff(p: HyperParams, z, ctx: QContext) -> np.ndarray:
     evaluation.  In the logarithmic cases the numeric core of the
     epsilon-ladder limit gauge matrices is formed point by point and twisted
     as one batch (see _Equation.twisted)."""
+    _check_point(z)
     eq = _equation(p, ctx)
     if eq.logarithmic:
         cores = [core_numeric(p, w, ctx) for w in map(complex, np.ravel(z))]
@@ -342,6 +346,7 @@ def twisted_birkhoff(p: HyperParams, z, ctx: QContext) -> np.ndarray:
 
 def det_formula(p: HyperParams, z: complex, ctx: QContext) -> complex:
     """Closed form of det of the twisted connection matrix."""
+    _check_point(z)
     return _generic(p, ctx).det_and_minors(z, ())[0]
 
 
@@ -356,6 +361,7 @@ def minor_formula(
     BadIndexError unless rows and cols are each two distinct indices in
     {1, 2, 3}, as in minor2."""
     _check_index_pairs(rows, cols)
+    _check_point(z)
     return _generic(p, ctx).det_and_minors(z, [(rows, cols)])[1][0]
 
 
@@ -377,6 +383,7 @@ def check_det_minors(p: HyperParams, B: np.ndarray, z: complex, ctx: QContext) -
     """Check the twisted matrix B at z against the closed forms of its
     determinant and all nine minors (det_formula and minor_formula, here from
     one evaluation)."""
+    _check_point(z)
     det_n = complex(np.linalg.det(B))
     pairs = [(rows, cols) for rows in _PAIRS for cols in _PAIRS]
     det_c, minors = _generic(p, ctx).det_and_minors(z, pairs)
@@ -400,6 +407,7 @@ def connection_eval(
     The closed form's genericity check comes before any numeric work."""
     if method not in ("both", "numeric", "closed_form"):
         raise DomainError(f"unknown method {method!r}")
+    _check_point(z)
     if method != "numeric":
         _generic(p, ctx)
     ei, e0 = _e_pair(p, z, ctx)

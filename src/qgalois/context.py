@@ -19,8 +19,8 @@ class QContext:
     """Deformation parameter and numeric policy.
 
     q          : complex with 0 < |q| < 1.
-    eps_trunc  : tail bound at which series/products are truncated.
-    eps_spiral : relative tolerance for q^Z spiral membership verdicts.
+    eps_trunc  : tail bound at which series/products are truncated, in (0, 1).
+    eps_spiral : relative tolerance for q^Z spiral membership verdicts, in (0, 1).
     """
 
     q: complex
@@ -30,8 +30,9 @@ class QContext:
     def __post_init__(self):
         if not 0.0 < abs(self.q) < 1.0:
             raise DomainError(f"need 0 < |q| < 1, got |q| = {abs(self.q)}")
-        if self.eps_trunc <= 0 or self.eps_spiral <= 0:
-            raise DomainError("tolerances must be positive")
+        # a chained comparison is False for NaN as well
+        if not (0.0 < self.eps_trunc < 1.0 and 0.0 < self.eps_spiral < 1.0):
+            raise DomainError("tolerances must be finite and in (0, 1)")
 
     @property
     def log_q(self) -> complex:

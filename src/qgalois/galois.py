@@ -13,13 +13,18 @@ component and the two points beside the zero spiral of the obstruction
 relation.  One twisted_birkhoff call evaluates the matrices at all of them
 and they feed both the generators and the obstruction fit.  Sample points are
 ranked by their clearance from the singular spirals, scanned as arrays.
+
+classify is one pass that fills one GaloisReport.  The report keeps the
+IrreducibilityVerdict itself (witnesses and per-ratio spiral distances), and
+one builder, _generators, makes every density-theorem generator from the
+local unipotents, looked up once, and the twisted matrices.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -64,22 +69,36 @@ class IrreducibilityVerdict:
 
 @dataclass(frozen=True)
 class GaloisReport:
-    """Full classification report for one parameter set."""
+    """Full classification report for one parameter set.
 
-    normalized: HyperParams | None
-    shifts: tuple[tuple[int, ...], tuple[int, ...]] | None
+    Every report holds the irreducibility verdict of the input parameters and
+    whether they are q-real; irreducible and witnesses read the verdict.  The
+    other fields keep their defaults where classify stops early: a reducible
+    input gets no normalized parameters, a non-q-real one no generators, and
+    both the classification "undetermined".
+    """
+
+    irreducibility: IrreducibilityVerdict
     q_real: bool
-    irreducible: bool
-    witnesses: tuple[tuple[int, int, int, float], ...]
-    lie_case: str | None
-    generators: tuple[tuple[str, np.ndarray], ...]
-    obstruction_residual: float | None
-    classification: str
-    scalar_generators: tuple[complex, complex] | None
-    scalar_resolution: str | None
-    base_point: complex | None
-    samples: tuple[complex, ...]
-    notes: tuple[str, ...] = field(default=())
+    classification: str = "undetermined"
+    normalized: HyperParams | None = None
+    shifts: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    lie_case: str | None = None
+    generators: tuple[tuple[str, np.ndarray], ...] = ()
+    obstruction_residual: float | None = None
+    scalar_generators: tuple[complex, complex] | None = None
+    scalar_resolution: str | None = None
+    base_point: complex | None = None
+    samples: tuple[complex, ...] = ()
+    notes: tuple[str, ...] = ()
+
+    @property
+    def irreducible(self) -> bool:
+        return self.irreducibility.irreducible
+
+    @property
+    def witnesses(self) -> tuple[tuple[int, int, int, float], ...]:
+        return self.irreducibility.witnesses
 
 
 def irreducibility(p: HyperParams, ctx: QContext) -> IrreducibilityVerdict:
@@ -184,18 +203,14 @@ def classify_case(p: HyperParams, ctx: QContext) -> str:
     return "ii"  # one merged a-pair: handled as the merged-pair case (ii)
 
 
-def _det_zero_anchor(p: HyperParams, ctx: QContext) -> complex:
-    """The twisted determinant vanishes exactly on (b2 b3 / (q^2 a1 a2 a3)) q^Z."""
-    a1, a2, a3 = p.a
-    return p.b2 * p.b3 / (ctx.q ** 2 * a1 * a2 * a3)
-
-
 def _clearance(p: HyperParams, zs, ctx: QContext):
     """Relative distance of each z from the nearer singular spiral of the
     twisted matrix: its poles on q^Z (the theta(z) denominators) and the zeros
-    of its determinant on the anchor spiral."""
+    of its determinant on (b2 b3 / (q^2 a1 a2 a3)) q^Z."""
     zs = np.asarray(zs, dtype=complex)
-    return np.minimum(spiral_clearance(zs, ctx), spiral_clearance(zs / _det_zero_anchor(p, ctx), ctx))
+    a1, a2, a3 = p.a
+    anchor = p.b2 * p.b3 / (ctx.q ** 2 * a1 * a2 * a3)
+    return np.minimum(spiral_clearance(zs, ctx), spiral_clearance(zs / anchor, ctx))
 
 
 def base_point(p: HyperParams, ctx: QContext) -> complex:
@@ -222,56 +237,52 @@ def _diag(values: Sequence[complex]) -> np.ndarray:
     return np.diag(np.asarray(values, dtype=complex))
 
 
-def _local_unipotents(p: HyperParams, case: str, ctx: QContext) -> tuple[np.ndarray, np.ndarray]:
-    """Unipotent parts U^(0), U^(infinity) of the local data: those of the
-    local solutions in the logarithmic cases, the merged-b block at 0 in
-    case (ii), and I otherwise."""
-    eye = np.eye(3, dtype=complex)
-    if case == "ii":
-        return np.array([[1, 0, 0], [0, 1, p.b2 / ctx.q], [0, 0, 1]], dtype=complex), eye
-    if case in ("iii", "iv"):
-        loc0, locinf = connection.local_pair(p, ctx)
-        return loc0.U, locinf.U
-    return eye, eye
-
-
-def _local_generators(p: HyperParams, case: str, ctx: QContext) -> list[tuple[str, np.ndarray]]:
-    """Generators 1.a, 1.a' and 1.b: the exponent and unit-circle projections
-    of the b-parameters, and the local unipotent at 0."""
-    b = p.b(ctx)
-    return [
-        ("1.a", _diag([gamma2(bj, ctx) for bj in b])),
-        ("1.a'", _diag([gamma1(bj, ctx) for bj in b])),
-        ("1.b", _local_unipotents(p, case, ctx)[0]),
-    ]
-
-
 def _check_base_point(p: HyperParams, y0: complex, ctx: QContext) -> None:
     if _clearance(p, y0, ctx) < 10.0 * ctx.eps_spiral:
         raise BasePointSingularError(f"base point {y0} is on a singular spiral")
 
 
-def _connection_generators(
-    p: HyperParams, case: str, y0: complex, mats: np.ndarray, ctx: QContext
+def _generators(
+    p: HyperParams, case: str, ctx: QContext, y0: complex | None = None, mats: np.ndarray = ()
 ) -> list[tuple[str, np.ndarray]]:
-    """Generators 2.a, 2.a', 2.b (the local data at infinity conjugated by the
-    twisted matrix mats[0] at the base point y0) and 3.k = mats[0]^{-1} mats[k+1]."""
-    P0 = mats[0]
-    if abs(np.linalg.det(P0)) < 1e-10 * max(np.linalg.norm(P0), 1e-300) ** 3:
-        raise BasePointSingularError(f"twisted matrix numerically singular at {y0}")
+    """The density-theorem generators.
+
+    Local ones at 0: 1.a and 1.a' (the exponent and unit-circle projections
+    of the b-parameters) and 1.b, the unipotent U^(0).  Given the twisted
+    matrices mats at the base point y0 and at the circle samples, also the
+    local data at infinity conjugated by P0 = mats[0] (2.a, 2.a' from the
+    a-parameters, 2.b from U^(infinity)) and 3.k = P0^{-1} mats[k+1].  The
+    unipotents are those of the local solutions in the logarithmic cases, the
+    merged-b block at 0 in case (ii), and I otherwise."""
+    if len(mats):
+        P0 = mats[0]
+        if abs(np.linalg.det(P0)) < 1e-10 * max(np.linalg.norm(P0), 1e-300) ** 3:
+            raise BasePointSingularError(f"twisted matrix numerically singular at {y0}")
+    eye = np.eye(3, dtype=complex)
+    if case == "ii":
+        u0, uinf = np.array([[1, 0, 0], [0, 1, p.b2 / ctx.q], [0, 0, 1]], dtype=complex), eye
+    elif case in ("iii", "iv"):
+        u0, uinf = (loc.U for loc in connection.local_pair(p, ctx))
+    else:
+        u0, uinf = eye, eye
+    b = p.b(ctx)
+    out = [
+        ("1.a", _diag([gamma2(bj, ctx) for bj in b])),
+        ("1.a'", _diag([gamma1(bj, ctx) for bj in b])),
+        ("1.b", u0),
+    ]
+    if not len(mats):
+        return out
 
     def conj(M: np.ndarray) -> np.ndarray:
         return np.linalg.solve(P0, M @ P0)
 
-    ui = _local_unipotents(p, case, ctx)[1]
-    out = [
+    out += [
         ("2.a", conj(_diag([gamma2(ai, ctx) for ai in p.a]))),
         ("2.a'", conj(_diag([gamma1(ai, ctx) for ai in p.a]))),
-        ("2.b", conj(ui)),
+        ("2.b", conj(uinf)),
     ]
-    if len(mats) > 1:
-        samples = np.linalg.solve(P0, mats[1:])
-        out.extend((f"3.{k}", M) for k, M in enumerate(samples))
+    out.extend((f"3.{k}", M) for k, M in enumerate(np.linalg.solve(P0, mats[1:])))
     return out
 
 
@@ -348,36 +359,20 @@ def classify(p: HyperParams, ctx: QContext) -> GaloisReport:
     residual) is corroborating numerical evidence.  Non-q-real or reducible
     input yields classification "undetermined" with a partial report.
     """
-    notes: list[str] = []
     q_real = p.is_q_real(ctx)
     irr = irreducibility(p, ctx)
     if not irr.irreducible:
-        return GaloisReport(
-            normalized=None, shifts=None, q_real=q_real, irreducible=False,
-            witnesses=irr.witnesses, lie_case=None, generators=(),
-            obstruction_residual=None, classification="undetermined",
-            scalar_generators=None, scalar_resolution=None, base_point=None,
-            samples=(), notes=("reducible: a_i/b_j on q^Z", ),
-        )
+        return GaloisReport(irr, q_real, notes=("reducible: a_i/b_j on q^Z",))
     pn, shifts = normalize_parameters(p, ctx)
-    if any(k != 0 for k in shifts[0] + shifts[1]):
-        notes.append("parameters shifted by integer q-powers before analysis")
+    shifted = any(k != 0 for k in shifts[0] + shifts[1])
+    notes = ["parameters shifted by integer q-powers before analysis"] if shifted else []
     case = classify_case(pn, ctx)
-    tag = case if not any(k != 0 for k in shifts[0] + shifts[1]) else f"shifted({case})"
-
+    tag = f"shifted({case})" if shifted else case
     if not q_real:
-        return GaloisReport(
-            normalized=pn, shifts=shifts, q_real=False,
-            irreducible=True, witnesses=(), lie_case=tag, generators=(),
-            obstruction_residual=None, classification="undetermined",
-            scalar_generators=None, scalar_resolution=None, base_point=None,
-            samples=(), notes=tuple(notes + ["parameters are not q-real"]),
-        )
+        notes.append("parameters are not q-real")
+        return GaloisReport(irr, False, normalized=pn, shifts=shifts, lie_case=tag, notes=tuple(notes))
 
-    y0 = None
-    gens: tuple[tuple[str, np.ndarray], ...] = ()
-    zs: list[complex] = []
-    residual: float | None = None
+    y0, zs, gens, residual = None, [], [], None
     if case != "ii":
         try:
             # one sample set: base point, circle samples, relation-zero points
@@ -386,27 +381,19 @@ def classify(p: HyperParams, ctx: QContext) -> GaloisReport:
             _check_base_point(pn, y0, ctx)
             points = [y0, *zs, *_relation_zero_points(pn, case, ctx)]
             mats = connection.twisted_birkhoff(pn, points, ctx)
-            connection_gens = _connection_generators(pn, case, y0, mats[: len(zs) + 1], ctx)
-            gens = tuple(_local_generators(pn, case, ctx) + connection_gens)
+            gens = _generators(pn, case, ctx, y0, mats[: len(zs) + 1])
             residual = _relation_residual(case, mats[1:])
         except QGaloisError as exc:
             notes.append(f"connection data unavailable: {exc}")
     else:
-        gens = tuple(_local_generators(pn, case, ctx))
+        gens = _generators(pn, case, ctx)
         notes.append("merged-b case: local generators at 0 only")
 
-    ratio = pn.a[0] * pn.a[1] * pn.a[2] / (pn.b2 * pn.b3)
-    verdict = in_q_spiral(ratio, ctx)
-    if not verdict.member:
-        classification = "GL3"
-        scalars, resolution = None, None
-    else:
-        classification = "SL3_extended"
-        scalars, resolution = _scalar_data(pn, ctx)
+    extended = in_q_spiral(pn.a[0] * pn.a[1] * pn.a[2] / (pn.b2 * pn.b3), ctx).member
+    scalars, resolution = _scalar_data(pn, ctx) if extended else (None, None)
     return GaloisReport(
-        normalized=pn, shifts=shifts, q_real=True, irreducible=True,
-        witnesses=(), lie_case=tag, generators=gens,
-        obstruction_residual=residual, classification=classification,
-        scalar_generators=scalars, scalar_resolution=resolution,
-        base_point=y0, samples=tuple(zs), notes=tuple(notes),
+        irr, True, classification="SL3_extended" if extended else "GL3",
+        normalized=pn, shifts=shifts, lie_case=tag, generators=tuple(gens),
+        obstruction_residual=residual, scalar_generators=scalars,
+        scalar_resolution=resolution, base_point=y0, samples=tuple(zs), notes=tuple(notes),
     )

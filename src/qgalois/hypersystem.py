@@ -23,6 +23,7 @@ q-character call over the exponents.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -74,8 +75,8 @@ class HyperParams:
     def __post_init__(self):
         if len(self.a) != 3:
             raise DomainError("need exactly three a-parameters")
-        if any(v == 0 for v in self.a) or self.b2 == 0 or self.b3 == 0:
-            raise DomainError("parameters must be nonzero")
+        if not all(v != 0 and cmath.isfinite(v) for v in (*self.a, self.b2, self.b3)):
+            raise DomainError("parameters must be finite and nonzero")
 
     @classmethod
     def from_exponents(
@@ -298,6 +299,19 @@ def _unipotent_power(U: np.ndarray, ell) -> np.ndarray:
     return np.eye(3, dtype=complex) + ell * N + (ell * (ell - 1.0) / 2.0) * (N @ N)
 
 
+def _check_point(z) -> None:
+    """Evaluation points, a complex or an array, must be finite and nonzero:
+    0 and infinity are the singular points of the system.  A scalar skips
+    numpy: the check runs several times per point of every evaluation."""
+    if isinstance(z, (complex, float, int)):
+        ok = z != 0 and cmath.isfinite(z)
+    else:
+        zs = np.asarray(z, dtype=complex)
+        ok = zs.all() and np.isfinite(zs).all()
+    if not ok:
+        raise DomainError("evaluation points must be finite and nonzero")
+
+
 def e_matrix(local: LocalData, z: complex, ctx: QContext) -> np.ndarray:
     """Character matrix e_J(z) = e_D(z) U^(l_q(z)) with e_J(qz) = J e_J(z),
     for the local exponent matrix J = diag(exponents) U of a local solution.
@@ -307,6 +321,7 @@ def e_matrix(local: LocalData, z: complex, ctx: QContext) -> np.ndarray:
     of the unipotent part satisfies the required shift law on both sides;
     l_q is evaluated only when U != I.
     """
+    _check_point(z)
     lam = np.array(local.exponents, dtype=complex)
     if local.side == "zero":
         eD = qcharacter(lam, z, ctx)
@@ -320,11 +335,13 @@ def e_matrix(local: LocalData, z: complex, ctx: QContext) -> np.ndarray:
 def fmatrix_at(local: LocalData, p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:
     """Gauge matrix F at z, continued with F(qz) J = A(z) F(z) beyond the
     radius: along the q-shift chain from z q^m at 0, from z q^-m at infinity,
-    applying the exponent matrix J once per step."""
+    applying the exponent matrix J once per step.  F at 0 is the constant
+    term of its series; every other z must be finite and nonzero."""
     absq = abs(ctx.q)
     if local.side == "zero":
         if abs(z) <= local.radius:
             return local.F(z)
+        _check_point(z)
         m = max(1, math.ceil(math.log(abs(z) / local.radius) / math.log(1.0 / absq)))
         val = local.F(z * ctx.q ** m)
         for j in range(m - 1, -1, -1):
@@ -334,6 +351,7 @@ def fmatrix_at(local: LocalData, p: HyperParams, z: complex, ctx: QContext) -> n
             A = system_matrix(p, point, ctx)
             val = np.linalg.solve(A, val) @ local.J
         return val
+    _check_point(z)
     if abs(z) >= local.radius:
         return local.F(z)
     m = max(1, math.ceil(math.log(local.radius / abs(z)) / math.log(1.0 / absq)))

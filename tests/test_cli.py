@@ -1,9 +1,11 @@
 """Command-line surface: parsing, JSON reports, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
+from qgalois import spiral
 from qgalois.cli import main
 
 
@@ -138,3 +140,62 @@ def test_text_format(capsys):
     code, out, _ = _run(capsys, "verify", "--q", "0.5", "--suite", "theta", "--format", "text")
     assert code == 0
     assert "all_passed: True" in out
+
+
+CASE_I = ("--a", "q^0.1,q^0.2,q^0.4", "--b", "q,q^0.15,q^0.33")
+
+
+@pytest.mark.parametrize("flag", ["--eps-trunc", "--eps-spiral"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "1", "2"])
+def test_tolerance_outside_unit_interval_exit_1(capsys, flag, value):
+    code, out, err = _run(capsys, "classify", "--q", "0.5", *CASE_I, f"{flag}={value}")
+    assert code == 1 and out == ""
+    assert err.startswith("error: tolerances must be finite and in (0, 1)")
+
+
+@pytest.mark.parametrize("q", ["0.5,0.1,0.2", "0.5,,0.1"])
+def test_q_with_extra_commas_exit_1(capsys, q):
+    code, out, err = _run(capsys, "classify", "--q", q, *CASE_I)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --q")
+
+
+@pytest.mark.parametrize("a", ["nan,q^0.2,q^0.4", "q^0.1,inf,q^0.4", "q^0.1,q^0.2,nan+1j"])
+def test_nonfinite_parameter_exit_1(capsys, a):
+    code, out, err = _run(capsys, "classify", "--q", "0.5", "--a", a, "--b", "q,q^0.15,q^0.33")
+    assert code == 1 and out == ""
+    assert err == "error: parameters must be finite and nonzero\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_connection_skips_point_at_zero_and_nonfinite(capsys):
+    code, out, _ = _run(capsys, "connection", "--q", "0.5", *CASE_I, "--z", "0,0.7+0.2j,nan,inf")
+    assert code == 2
+    rows = json.loads(out)["rows"]
+    assert ["skipped" in row for row in rows] == [True, False, True, True]
+    assert rows[0]["skipped"] == "DomainError: evaluation points must be finite and nonzero"
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    ("q^0.1,q^0.2,q^0.4", "q,q^0.15,q^0.33", 22),  # case i
+    ("q^0.3,q^0.3,q^0.3", "q,q,q", 34),  # case iv
+])
+def test_classify_runs_irreducibility_once(capsys, monkeypatch, a, b, expected):
+    # spiral_distances come from the report's verdict: irreducibility (9
+    # calls) runs once, with spiral_pattern twice (classify_case and the
+    # equation record) and the extended-SL3 test; case iv adds the pattern
+    # checks of both logarithmic local solutions
+    real = spiral.in_q_spiral
+    calls = []
+
+    def counting(c, ctx):
+        calls.append(c)
+        return real(c, ctx)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qgalois") and getattr(module, "in_q_spiral", None) is real:
+            monkeypatch.setattr(module, "in_q_spiral", counting)
+    code, out, _ = _run(capsys, "classify", "--q", "0.5", "--a", a, "--b", b)
+    assert code == 0
+    assert len(json.loads(out)["spiral_distances"]) == 9
+    assert len(calls) == expected

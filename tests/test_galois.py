@@ -2,6 +2,7 @@
 generators and PSl2 obstruction residual."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -196,9 +197,10 @@ def test_classify_reducible_undetermined(ctx):
 
 
 def test_classify_non_q_real_undetermined(ctx):
-    p = HyperParams(a=(0.3 * cmath.exp(0.2j), 0.5, 0.7), b2=0.4, b3=0.6)
+    # a2 = 0.45, not q: with a2 = q the input was reducible and stopped first
+    p = HyperParams(a=(0.3 * cmath.exp(0.2j), 0.45, 0.7), b2=0.4, b3=0.6)
     r = classify(p, ctx)
-    assert not r.q_real and r.classification == "undetermined"
+    assert r.irreducible and not r.q_real and r.classification == "undetermined"
 
 
 def test_classify_shift_invariance(ctx, rng):
@@ -273,3 +275,36 @@ def test_classify_logarithmic_inverts_j_once(ctx, monkeypatch, case):
     report = classify(_case_params(ctx, case), ctx)
     assert report.lie_case == case and report.obstruction_residual is not None
     assert len(calls) == 1
+
+
+def test_reducible_report_keeps_the_defaults(ctx):
+    p = HyperParams.from_exponents(ctx, (1.15, 0.2, 0.4), (0.15, 0.33))
+    r = classify(p, ctx)
+    verdict = irreducibility(p, ctx)
+    expected = dict(
+        irreducibility=verdict, q_real=True, classification="undetermined",
+        normalized=None, shifts=None, lie_case=None, generators=(),
+        obstruction_residual=None, scalar_generators=None, scalar_resolution=None,
+        base_point=None, samples=(), notes=("reducible: a_i/b_j on q^Z",),
+    )
+    assert {f.name for f in dataclasses.fields(r)} == set(expected)
+    assert {name: getattr(r, name) for name in expected} == expected
+    assert not r.irreducible and r.witnesses == verdict.witnesses != ()
+
+
+def test_non_q_real_report_keeps_the_defaults(ctx):
+    # irreducible: no a_i/b_j is a power of q = 0.5
+    p = HyperParams(a=(0.3 * cmath.exp(0.2j), 0.45, 0.7), b2=0.4, b3=0.6)
+    r = classify(p, ctx)
+    pn, shifts = normalize_parameters(p, ctx)
+    expected = dict(
+        irreducibility=irreducibility(p, ctx), q_real=False, classification="undetermined",
+        normalized=pn, shifts=shifts, lie_case="shifted(i)", generators=(),
+        obstruction_residual=None, scalar_generators=None, scalar_resolution=None,
+        base_point=None, samples=(),
+        notes=("parameters shifted by integer q-powers before analysis", "parameters are not q-real"),
+    )
+    assert shifts == ((-1, -1, 0), (-1, 0))
+    assert {f.name for f in dataclasses.fields(r)} == set(expected)
+    assert {name: getattr(r, name) for name in expected} == expected
+    assert r.irreducible and r.witnesses == ()
