@@ -6,11 +6,11 @@ decides which exponent ratios lie on q^Z (the SpiralPattern that local
 solutions, the closed forms' genericity and the case tag all read), and
 builds the local solutions Y = F e_J at 0 and at infinity.
 
-One construction gives F on both sides: column k is a 3phi2 series in the
-parameters of that column (_f_series).  The logarithmic cases (b -> (q,q,q)
-at 0, a -> (a,a,a) at infinity) take the limit of that same F times a frame
-multiplier by an epsilon-ladder with Richardson extrapolation; the five
-perturbed series and multipliers are built once per local solution.
+F at 0 is one 3phi2 series per column (_f_series); F at infinity is a fixed
+transform of F at 0 of the dual equation (_f_infinity).  The logarithmic
+cases (b -> (q,q,q) at 0, a -> (a,a,a) at infinity) take the limit of F
+times one explicit frame multiplier (_kmult) by a Richardson-extrapolated
+epsilon-ladder whose five frames are built once per local solution.
 fmatrix_at continues F beyond the series radius by the functional equation.
 
 Every local exponent matrix is J = diag(exponents) U, read off the
@@ -41,6 +41,8 @@ from .errors import (
 )
 from .qseries import lq, qcharacter, qhyper_series
 from .spiral import SpiralVerdict, decompose, in_q_spiral
+
+_Gauge = Callable[[complex], np.ndarray]  # z -> the 3x3 gauge matrix F(z)
 
 __all__ = [
     "HyperParams",
@@ -150,7 +152,7 @@ class LocalData:
     J: np.ndarray  # = diag(exponents) U
     U: np.ndarray  # unipotent part, I unless logarithmic
     exponents: tuple[complex, ...]
-    F: Callable[[complex], np.ndarray] = field(repr=False)
+    F: _Gauge = field(repr=False)
     radius: float
 
     @property
@@ -170,7 +172,9 @@ def _denominator(p: HyperParams, z: complex, ctx: QContext) -> complex:
 
 
 def system_matrix(p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:
-    """Companion matrix A(z) with Phi(qz) = A(z) Phi(z)."""
+    """Companion matrix A(z) with Phi(qz) = A(z) Phi(z), at any finite z."""
+    if not cmath.isfinite(z):
+        raise DomainError(f"system matrix needs a finite point, got z = {z}")
     q = ctx.q
     a1, a2, a3 = p.a
     b2, b3 = p.b2, p.b3
@@ -206,42 +210,49 @@ def _series_ctx(ctx: QContext) -> QContext:
     return replace(ctx, eps_trunc=1e-14)
 
 
-def _f_series(p: HyperParams, ctx: QContext, side: str) -> Callable[[complex], np.ndarray]:
-    """The gauge matrix F at 0 or at infinity: entry (r, k) is
-    pre_k^r 3phi2(num_k; den_k; arg_r(z)), with the column parameters built
-    once here, at 0 num = s a, den = s b, pre = s for s = q/b_k and
-    arg_r = q^r z, at infinity num = a_k q/b, den = a_k q/a, pre = 1/a_k and
-    arg_r = q^(1-r) c0/z with c0 = b2 b3/(a1 a2 a3)."""
+def _f_series(p: HyperParams, ctx: QContext) -> _Gauge:
+    """The gauge matrix F at 0: entry (r, k) is s_k^r 3phi2(s_k a; s_k b; q^r z)
+    with s_k = q/b_k, the column parameters built once here."""
     q = ctx.q
     b = p.b(ctx)
     sctx = _series_ctx(ctx)
-    if side == "zero":
-        columns = [
-            (tuple(s * ai for ai in p.a), tuple(s * bk for bk in b), s)
-            for s in (q / bj for bj in b)
-        ]
-
-        def arg(r: int, z: complex) -> complex:
-            return q ** r * z
-    else:
-        a1, a2, a3 = p.a
-        c0 = p.b2 * p.b3 / (a1 * a2 * a3)
-        columns = [
-            (tuple(ai * q / bk for bk in b), tuple(ai * q / ak for ak in p.a), 1.0 / ai)
-            for ai in p.a
-        ]
-
-        def arg(r: int, z: complex) -> complex:
-            return q ** (1 - r) * c0 / z
+    columns = [
+        (tuple(s * ai for ai in p.a), tuple(s * bk for bk in b), s)
+        for s in (q / bj for bj in b)
+    ]
 
     def F(z: complex) -> np.ndarray:
         out = np.empty((3, 3), dtype=complex)
         for k, (num, den, pre) in enumerate(columns):
             for r in range(3):
-                out[r, k] = pre ** r * qhyper_series(num, den, arg(r, z), sctx)[0]
+                out[r, k] = pre ** r * qhyper_series(num, den, q ** r * z, sctx)[0]
         return out
 
     return F
+
+
+def _dual(p: HyperParams, ctx: QContext) -> HyperParams:
+    """The dual equation: z -> c0/(q z) with c0 = b2 b3/(a1 a2 a3), gauged by
+    a1, gives a' = (a1, q a1/b2, q a1/b3) and b' = (q, q a1/a2, q a1/a3)."""
+    q = ctx.q
+    a1, a2, a3 = p.a
+    return HyperParams(a=(a1, q * a1 / p.b2, q * a1 / p.b3), b2=q * a1 / a2, b3=q * a1 / a3)
+
+
+def _f_infinity(p: HyperParams, ctx: QContext) -> tuple[_Gauge, np.ndarray]:
+    """F at infinity, entry (r, k) a_k^-r 3phi2(a_k q/b; a_k q/a; q^(1-r) c0/z),
+    as G(z) diag(cols): G(z) = diag(a1^2, a1, 1) R F'(c0/(q z)) with F' the
+    dual's F at 0 and R reversing the rows, cols = a_k^-2."""
+    a1, a2, a3 = p.a
+    c0 = p.b2 * p.b3 / (a1 * a2 * a3)
+    q = ctx.q
+    F_dual = _f_series(_dual(p, ctx), ctx)
+    rows = np.array([a1 * a1, a1, 1.0], dtype=complex)[:, None]
+
+    def G(z: complex) -> np.ndarray:
+        return rows * F_dual(c0 / (q * z))[::-1]
+
+    return G, 1.0 / np.array(p.a, dtype=complex) ** 2
 
 
 def local_solution_zero(p: HyperParams, ctx: QContext) -> LocalData:
@@ -261,7 +272,7 @@ def local_solution_zero(p: HyperParams, ctx: QContext) -> LocalData:
         J=J,
         U=np.eye(3, dtype=complex),
         exponents=exps,
-        F=_f_series(p, ctx, "zero"),
+        F=_f_series(p, ctx),
         radius=0.5,
     )
 
@@ -279,13 +290,14 @@ def local_solution_infinity(p: HyperParams, ctx: QContext) -> LocalData:
     exps = tuple(1.0 / v for v in p.a)
     J = np.diag(np.array(exps, dtype=complex))
     c0 = p.b2 * p.b3 / (a1 * a2 * a3)
-    radius = 2.0 * abs(c0 / ctx.q)
+    radius = 2.0 * abs(c0 / ctx.q)  # |w| <= 0.5 in the dual's w = c0/(q z)
+    G, cols = _f_infinity(p, ctx)
     return LocalData(
         side="infinity",
         J=J,
         U=np.eye(3, dtype=complex),
         exponents=exps,
-        F=_f_series(p, ctx, "infinity"),
+        F=lambda z: G(z) * cols,
         radius=radius,
     )
 
@@ -405,9 +417,7 @@ def ladder_order(values: list[np.ndarray]) -> float:
     return float(np.median(np.log2(d1[mask] / d2[mask])))
 
 
-def _ladder_limit(
-    frames: list[tuple[Callable[[complex], np.ndarray], np.ndarray]], where: str
-) -> Callable[[complex], np.ndarray]:
+def _ladder_limit(frames: list[tuple[_Gauge, np.ndarray]], where: str) -> _Gauge:
     """The eps -> 0 limit z -> lim F_eps(z) M_eps, Richardson-extrapolated over
     one (F_eps, M_eps) frame per rung of _LADDER."""
 
@@ -420,29 +430,18 @@ def _ladder_limit(
     return F
 
 
-def _kmult_zero(b2: complex, b3: complex, ctx: QContext) -> np.ndarray:
-    """Multiplier turning the generic F at 0 into the b -> (q,q,q) limit frame:
-    the explicit form of V(b)^{-1} [[1,-1,1],[1,0,0],[1,1,0]]."""
-    q = ctx.q
-    r2 = q / b2
-    r3 = q / b3
+def _kmult(r2: complex, r3: complex) -> np.ndarray:
+    """Frame multiplier of both logarithmic limits: the explicit form of
+    V(1, r2, r3)^{-1} [[1,-1,1],[1,0,0],[1,1,0]], V the Vandermonde matrix
+    with rows (1,1,1), (1,r2,r3), (1,r2^2,r3^2)."""
+    d1 = (r2 - 1.0) * (r3 - 1.0)
+    d2 = (r3 - r2) * (r2 - 1.0)
+    d3 = (r2 - r3) * (r3 - 1.0)
     return np.array(
         [
-            [
-                1.0,
-                (1.0 - q * q / (b2 * b3)) / ((r2 - 1.0) * (r3 - 1.0)),
-                (q * q / (b2 * b3)) / ((r2 - 1.0) * (r3 - 1.0)),
-            ],
-            [
-                0.0,
-                (r3 - 1.0) / ((r3 - r2) * (r2 - 1.0)),
-                (-r3) / ((r3 - r2) * (r2 - 1.0)),
-            ],
-            [
-                0.0,
-                (r2 - 1.0) / ((r2 - r3) * (r3 - 1.0)),
-                (-r2) / ((r2 - r3) * (r3 - 1.0)),
-            ],
+            [1.0, (1.0 - r2 * r3) / d1, r2 * r3 / d1],
+            [0.0, (r3 - 1.0) / d2, -r3 / d2],
+            [0.0, (r2 - 1.0) / d3, -r2 / d3],
         ],
         dtype=complex,
     )
@@ -469,7 +468,7 @@ def local_solution_zero_log(p: HyperParams, ctx: QContext) -> LocalData:
     frames = []
     for eps in _LADDER:
         pe = _perturbed_b(p, eps, ctx)
-        frames.append((_f_series(pe, ctx, "zero"), _kmult_zero(pe.b2, pe.b3, ctx)))
+        frames.append((_f_series(pe, ctx), _kmult(ctx.q / pe.b2, ctx.q / pe.b3)))
     return LocalData(
         side="zero",
         J=Jq,
@@ -478,23 +477,6 @@ def local_solution_zero_log(p: HyperParams, ctx: QContext) -> LocalData:
         F=_ladder_limit(frames, "0"),
         radius=0.5,
     )
-
-
-def _wmult_infinity(a: complex) -> np.ndarray:
-    return np.array(
-        [
-            [1.0 / a ** 2, -1.0 / a, 1.0],
-            [1.0 / a ** 3, 0.0, 0.0],
-            [1.0 / a ** 4, 1.0 / a ** 3, 0.0],
-        ],
-        dtype=complex,
-    )
-
-
-def _vandermonde(nodes: Sequence[complex], ctx: QContext) -> np.ndarray:
-    """V(u) with rows (1,1,1), (q/u_i), ((q/u_i)^2)."""
-    r = [ctx.q / u for u in nodes]
-    return np.array([[1, 1, 1], r, [v * v for v in r]], dtype=complex)
 
 
 def _perturbed_a(p: HyperParams, eps: float) -> HyperParams:
@@ -515,19 +497,23 @@ def _check_log_infinity_params(pattern: SpiralPattern) -> None:
 def local_solution_infinity_log(p: HyperParams, ctx: QContext) -> LocalData:
     """Local solution at infinity for a = (a,a,a), b = (q,q,q).
 
-    F is the eps-ladder limit of F(a(eps), q; z) V(q a(eps))^{-1} W(a)."""
+    F is the eps-ladder limit of F(a(eps), q; z) V(q a(eps))^{-1} W(a), each
+    F = G diag(cols) from the dual's F at 0 (_f_infinity).  Since W(a) =
+    diag(a^-2, a^-3, a^-4) K0 diag(1, a, a^2) and V(q a(eps)) =
+    diag(1, 1/a, 1/a^2) V(1, r2, r3) with r_j = a/a_j(eps), the rung frame is
+    G with the multiplier diag(cols) a^-2 _kmult(r2, r3) diag(1, a, a^2)."""
     _check_log_infinity_params(spiral_pattern(p, ctx))
     a = p.a[0]
     Jinf = np.array(
         [[1.0 / a, 1, 0], [0, 1.0 / a, 1], [0, 0, 1.0 / a]], dtype=complex
     )
-    W = _wmult_infinity(a)
+    scale = np.array([a ** -2, 1.0 / a, 1.0], dtype=complex)
     radius = 2.0 * abs(p.b2 * p.b3 / (a ** 3 * ctx.q))
     frames = []
     for eps in _LADDER:
         pe = _perturbed_a(p, eps)
-        V = _vandermonde(tuple(ctx.q * ai for ai in pe.a), ctx)
-        frames.append((_f_series(pe, ctx, "infinity"), np.linalg.solve(V, W)))
+        G, cols = _f_infinity(pe, ctx)
+        frames.append((G, cols[:, None] * _kmult(a / pe.a[1], a / pe.a[2]) * scale))
     return LocalData(
         side="infinity",
         J=Jinf,

@@ -18,6 +18,7 @@ from qgalois import (
     fmatrix_at,
     gauge_residual,
     minor_formula,
+    system_matrix,
     twisted_birkhoff,
 )
 from qgalois.connection import check_det_minors, local_pair
@@ -92,3 +93,21 @@ def test_gauge_matrix_at_zero_only_on_the_zero_side(ctx, p):
     for z in (complex(math.nan, 0.0), complex(math.inf, 0.0)):
         with pytest.raises(DomainError):
             fmatrix_at(loc0, p, z, ctx)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "z", [math.inf, -math.inf, math.nan, complex(0.3, math.nan)], ids=["inf", "-inf", "nan", "nan-imag"]
+)
+def test_system_matrix_needs_a_finite_point(ctx, p, z):
+    with pytest.raises(DomainError, match="finite point"):
+        system_matrix(p, z, ctx)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_system_matrix_at_zero_is_defined(ctx, p):
+    # A(0) is finite, with the exponents {1, q/b2, q/b3} at 0 as eigenvalues
+    A0 = system_matrix(p, 0, ctx)
+    assert np.isfinite(A0).all()
+    expect = np.sort_complex(np.array([1.0, ctx.q / p.b2, ctx.q / p.b3], dtype=complex))
+    assert np.max(np.abs(np.sort_complex(np.linalg.eigvals(A0)) - expect)) < 1e-12

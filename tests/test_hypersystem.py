@@ -189,23 +189,23 @@ def test_fmatrix_continuation_consistency(ctx, p):
 
 
 @pytest.mark.parametrize(
-    "build, helper, a_exps",
+    "build, a_exps",
     [
-        (local_solution_infinity_log, "_vandermonde", (0.3, 0.3, 0.3)),
-        (local_solution_zero_log, "_kmult_zero", (0.13, 0.37, 0.71)),
+        (local_solution_infinity_log, (0.3, 0.3, 0.3)),
+        (local_solution_zero_log, (0.13, 0.37, 0.71)),
     ],
 )
-def test_log_ladder_frames_built_once(monkeypatch, ctx, build, helper, a_exps):
+def test_log_ladder_frames_built_once(monkeypatch, ctx, build, a_exps):
     # the five eps-ladder frame multipliers come from the parameters only:
     # one per rung when the local solution is built, none per evaluation point
     calls = []
-    real = getattr(hypersystem, helper)
+    real = hypersystem._kmult
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(hypersystem, helper, counting)
+    monkeypatch.setattr(hypersystem, "_kmult", counting)
     pl = HyperParams(a=tuple(ctx.qpow(x) for x in a_exps), b2=ctx.q, b3=ctx.q)
     loc = build(pl, ctx)
     for z in (0.3 + 0.1j, 0.9 * cmath.exp(2.0j), 4.0 * cmath.exp(-0.7j)):
