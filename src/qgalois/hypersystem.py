@@ -7,10 +7,11 @@ solutions, the closed forms' genericity and the case tag all read), and
 builds the local solutions Y = F e_J at 0 and at infinity.
 
 F at 0 is one 3phi2 series per column (_f_series); F at infinity is a fixed
-transform of F at 0 of the dual equation (_f_infinity).  The logarithmic
-cases (b -> (q,q,q) at 0, a -> (a,a,a) at infinity) take the limit of F
-times one explicit frame multiplier (_kmult) by a Richardson-extrapolated
-epsilon-ladder whose five frames are built once per local solution.
+transform of F at 0 of the dual equation (_f_infinity).  For b2 = b3 = q, F at
+0 is the limit of F times one explicit frame multiplier (_kmult) by a
+Richardson-extrapolated epsilon-ladder whose five frames are built once
+(_f_log_zero); case iv is its own dual, so that one ladder also gives its F
+at infinity, times a constant matrix.
 fmatrix_at continues F beyond the series radius by the functional equation.
 
 Every local exponent matrix is J = diag(exponents) U, read off the
@@ -239,20 +240,19 @@ def _dual(p: HyperParams, ctx: QContext) -> HyperParams:
     return HyperParams(a=(a1, q * a1 / p.b2, q * a1 / p.b3), b2=q * a1 / a2, b3=q * a1 / a3)
 
 
-def _f_infinity(p: HyperParams, ctx: QContext) -> tuple[_Gauge, np.ndarray]:
-    """F at infinity, entry (r, k) a_k^-r 3phi2(a_k q/b; a_k q/a; q^(1-r) c0/z),
-    as G(z) diag(cols): G(z) = diag(a1^2, a1, 1) R F'(c0/(q z)) with F' the
-    dual's F at 0 and R reversing the rows, cols = a_k^-2."""
+def _f_infinity(p: HyperParams, F_dual: _Gauge, ctx: QContext) -> _Gauge:
+    """F at infinity up to column scalings: G(z) = diag(a1^2, a1, 1) R F'(c0/(q z))
+    with F' the dual's F at 0 and R reversing the rows.  Times diag(a_k^-2),
+    entry (r, k) is a_k^-r 3phi2(a_k q/b; a_k q/a; q^(1-r) c0/z)."""
     a1, a2, a3 = p.a
     c0 = p.b2 * p.b3 / (a1 * a2 * a3)
     q = ctx.q
-    F_dual = _f_series(_dual(p, ctx), ctx)
     rows = np.array([a1 * a1, a1, 1.0], dtype=complex)[:, None]
 
     def G(z: complex) -> np.ndarray:
         return rows * F_dual(c0 / (q * z))[::-1]
 
-    return G, 1.0 / np.array(p.a, dtype=complex) ** 2
+    return G
 
 
 def local_solution_zero(p: HyperParams, ctx: QContext) -> LocalData:
@@ -291,7 +291,8 @@ def local_solution_infinity(p: HyperParams, ctx: QContext) -> LocalData:
     J = np.diag(np.array(exps, dtype=complex))
     c0 = p.b2 * p.b3 / (a1 * a2 * a3)
     radius = 2.0 * abs(c0 / ctx.q)  # |w| <= 0.5 in the dual's w = c0/(q z)
-    G, cols = _f_infinity(p, ctx)
+    G = _f_infinity(p, _f_series(_dual(p, ctx), ctx), ctx)
+    cols = 1.0 / np.array(p.a, dtype=complex) ** 2
     return LocalData(
         side="infinity",
         J=J,
@@ -417,23 +418,10 @@ def ladder_order(values: list[np.ndarray]) -> float:
     return float(np.median(np.log2(d1[mask] / d2[mask])))
 
 
-def _ladder_limit(frames: list[tuple[_Gauge, np.ndarray]], where: str) -> _Gauge:
-    """The eps -> 0 limit z -> lim F_eps(z) M_eps, Richardson-extrapolated over
-    one (F_eps, M_eps) frame per rung of _LADDER."""
-
-    def F(z: complex) -> np.ndarray:
-        out = _richardson([F_eps(z) @ M_eps for F_eps, M_eps in frames])
-        if not np.all(np.isfinite(out)):
-            raise ExtrapolationDivergedError(f"logarithmic limit at {where} diverged")
-        return out
-
-    return F
-
-
 def _kmult(r2: complex, r3: complex) -> np.ndarray:
-    """Frame multiplier of both logarithmic limits: the explicit form of
-    V(1, r2, r3)^{-1} [[1,-1,1],[1,0,0],[1,1,0]], V the Vandermonde matrix
-    with rows (1,1,1), (1,r2,r3), (1,r2^2,r3^2)."""
+    """Frame multiplier of the epsilon-ladder: the explicit form of
+    V(1, r2, r3)^{-1} K0 with K0 = [[1,-1,1],[1,0,0],[1,1,0]], V the
+    Vandermonde matrix with rows (1,1,1), (1,r2,r3), (1,r2^2,r3^2)."""
     d1 = (r2 - 1.0) * (r3 - 1.0)
     d2 = (r3 - r2) * (r2 - 1.0)
     d3 = (r2 - r3) * (r3 - 1.0)
@@ -452,6 +440,24 @@ def _perturbed_b(p: HyperParams, eps: float, ctx: QContext) -> HyperParams:
     return HyperParams(a=p.a, b2=ctx.q * (1.0 + eps), b3=ctx.q * (1.0 + 2.0 * eps))
 
 
+def _f_log_zero(p: HyperParams, ctx: QContext) -> _Gauge:
+    """F at 0 for b2 = b3 = q: the eps -> 0 limit of F(a, b(eps); z)
+    _kmult(q/b2(eps), q/b3(eps)), Richardson-extrapolated over one frame per
+    rung of _LADDER, the frames built once here."""
+    frames = []
+    for eps in _LADDER:
+        pe = _perturbed_b(p, eps, ctx)
+        frames.append((_f_series(pe, ctx), _kmult(ctx.q / pe.b2, ctx.q / pe.b3)))
+
+    def F(z: complex) -> np.ndarray:
+        out = _richardson([F_eps(z) @ M_eps for F_eps, M_eps in frames])
+        if not np.all(np.isfinite(out)):
+            raise ExtrapolationDivergedError("logarithmic limit diverged")
+        return out
+
+    return F
+
+
 def _check_log_zero_params(pattern: SpiralPattern) -> None:
     for j, v in zip((2, 3), pattern.zero):
         if not (v.member and v.k == 0):
@@ -462,27 +468,17 @@ def local_solution_zero_log(p: HyperParams, ctx: QContext) -> LocalData:
     """Local solution at 0 for b2 = b3 = q (logarithmic case).
 
     F is the eps-ladder limit of F(a, b(eps); z) times the frame multiplier,
-    Richardson-extrapolated; the exponent matrix is the unipotent J_q."""
+    Richardson-extrapolated (_f_log_zero); the exponent matrix is the
+    unipotent J_q."""
     _check_log_zero_params(spiral_pattern(p, ctx))
     Jq = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=complex)
-    frames = []
-    for eps in _LADDER:
-        pe = _perturbed_b(p, eps, ctx)
-        frames.append((_f_series(pe, ctx), _kmult(ctx.q / pe.b2, ctx.q / pe.b3)))
     return LocalData(
         side="zero",
         J=Jq,
         U=Jq.copy(),
         exponents=(1.0 + 0j, 1.0 + 0j, 1.0 + 0j),
-        F=_ladder_limit(frames, "0"),
+        F=_f_log_zero(p, ctx),
         radius=0.5,
-    )
-
-
-def _perturbed_a(p: HyperParams, eps: float) -> HyperParams:
-    a = p.a[0]
-    return HyperParams(
-        a=(a, a * (1.0 + eps), a * (1.0 + eps) ** 2), b2=p.b2, b3=p.b3
     )
 
 
@@ -497,29 +493,24 @@ def _check_log_infinity_params(pattern: SpiralPattern) -> None:
 def local_solution_infinity_log(p: HyperParams, ctx: QContext) -> LocalData:
     """Local solution at infinity for a = (a,a,a), b = (q,q,q).
 
-    F is the eps-ladder limit of F(a(eps), q; z) V(q a(eps))^{-1} W(a), each
-    F = G diag(cols) from the dual's F at 0 (_f_infinity).  Since W(a) =
-    diag(a^-2, a^-3, a^-4) K0 diag(1, a, a^2) and V(q a(eps)) =
-    diag(1, 1/a, 1/a^2) V(1, r2, r3) with r_j = a/a_j(eps), the rung frame is
-    G with the multiplier diag(cols) a^-2 _kmult(r2, r3) diag(1, a, a^2)."""
+    The equation is its own dual, so F = G X with G the transform
+    (_f_infinity) of the dual's logarithmic F at 0 (_f_log_zero) and
+    X = a^-4 [[1,0,0],[0,-a,a^2],[0,0,a^2]].  X is constant because G and F
+    are analytic at infinity with the one exponent 1/a: M = G^-1 F solves
+    M(qz) = J1 M J2^-1, which leaves only its constant term G(inf)^-1 F(inf),
+    with G(inf) = diag(a^2, a, 1) R K0 and F(inf) = diag(a^-2, a^-3, a^-4)
+    K0 diag(1, a, a^2), K0 as in _kmult."""
     _check_log_infinity_params(spiral_pattern(p, ctx))
     a = p.a[0]
-    Jinf = np.array(
-        [[1.0 / a, 1, 0], [0, 1.0 / a, 1], [0, 0, 1.0 / a]], dtype=complex
-    )
-    scale = np.array([a ** -2, 1.0 / a, 1.0], dtype=complex)
-    radius = 2.0 * abs(p.b2 * p.b3 / (a ** 3 * ctx.q))
-    frames = []
-    for eps in _LADDER:
-        pe = _perturbed_a(p, eps)
-        G, cols = _f_infinity(pe, ctx)
-        frames.append((G, cols[:, None] * _kmult(a / pe.a[1], a / pe.a[2]) * scale))
+    Jinf = np.array([[1.0 / a, 1, 0], [0, 1.0 / a, 1], [0, 0, 1.0 / a]], dtype=complex)
+    X = np.array([[1, 0, 0], [0, -a, a * a], [0, 0, a * a]], dtype=complex) / a ** 4
+    G = _f_infinity(p, _f_log_zero(_dual(p, ctx), ctx), ctx)
     return LocalData(
         side="infinity",
         J=Jinf,
         # J_inf = (1/a) (a J_inf): U unipotent with a above the diagonal
         U=np.array([[1, a, 0], [0, 1, a], [0, 0, 1]], dtype=complex),
         exponents=(1.0 / a, 1.0 / a, 1.0 / a),
-        F=_ladder_limit(frames, "infinity"),
-        radius=radius,
+        F=lambda z: G(z) @ X,
+        radius=2.0 * abs(p.b2 * p.b3 / (a ** 3 * ctx.q)),
     )

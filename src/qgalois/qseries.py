@@ -11,6 +11,7 @@ per context, so every element gets the same arithmetic as a scalar.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import sys
@@ -43,7 +44,9 @@ _N_MAX = 10_000  # hard cap on series and product terms
 
 def qpochhammer_infinite(a: complex, ctx: QContext) -> tuple[complex, TruncationReport]:
     """(a;q)_infinity, truncated once the multiplicative tail |a| |q|^N/(1-|q|)
-    falls below eps_trunc."""
+    falls below eps_trunc.  Raises DomainError at a non-finite a."""
+    if not cmath.isfinite(a):
+        raise DomainError(f"(a;q)_inf needs a finite a, got {a}")
     absq = abs(ctx.q)
     out = 1.0 + 0j
     aq = complex(a)
@@ -188,12 +191,13 @@ def lq(z, ctx: QContext):
     With z = q^k w and w on the core annulus (as in theta), the sums
     s0 = theta(w) and s1 = w theta'(w) come from the same terms as theta, and
     l_q(z) = k - s1/s0.  Raises PoleError within eps_spiral of q^Z and
-    DomainError where theta leaves double range.
+    DomainError at z = 0, at a non-finite z and where theta leaves double
+    range.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
-    if not flat.all():
-        raise DomainError("lq undefined at z = 0")
+    if not (flat.all() and np.isfinite(flat).all()):
+        raise DomainError("lq needs finite nonzero z")
     clearance = spiral_clearance(flat, ctx)
     if (clearance < ctx.eps_spiral).any():
         raise PoleError(f"lq pole: z within {clearance.min():.2e} of q^Z")

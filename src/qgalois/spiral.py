@@ -38,8 +38,8 @@ class SpiralVerdict(NamedTuple):
 
 def decompose(c: complex, ctx: QContext) -> SpiralPoint:
     """Split c = u * q^omega, |u| = 1, omega real."""
-    if c == 0:
-        raise DomainError("cannot decompose 0")
+    if c == 0 or not cmath.isfinite(c):
+        raise DomainError(f"can only decompose a finite nonzero c, got {c}")
     # |q^omega| = exp(omega * Re log q), so omega is fixed by |c| alone.
     omega = math.log(abs(c)) / ctx.log_q.real
     u = c / ctx.qpow(omega)
@@ -52,8 +52,8 @@ def in_q_spiral(c: complex, ctx: QContext) -> SpiralVerdict:
     With c = u * q^omega, k is the nearer of floor(omega) and ceil(omega) and
     the distance |c - q^k| / |q^k| is spiral_clearance(c), in scalar
     arithmetic."""
-    if c == 0:
-        raise DomainError("cannot decompose 0")
+    if c == 0 or not cmath.isfinite(c):
+        raise DomainError(f"can only decompose a finite nonzero c, got {c}")
     lnq = ctx.log_q
     below = math.floor(math.log(abs(c)) / lnq.real)
     candidates = []
@@ -74,8 +74,8 @@ def log_q(c, ctx: QContext):
     from below).  The value is omega + 2*pi*i*t / log q.
     """
     c = np.asarray(c, dtype=complex)
-    if not c.all():
-        raise DomainError("cannot decompose 0")
+    if not (c.all() and np.isfinite(c).all()):
+        raise DomainError("log_q needs finite nonzero c")
     lnq = ctx.log_q
     omega = np.log(np.abs(c)) / lnq.real
     t = np.angle(c / np.exp(omega * lnq)) / (2.0 * math.pi)

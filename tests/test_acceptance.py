@@ -38,10 +38,10 @@ from qgalois import (
 )
 from qgalois.hypersystem import (
     _LADDER,
+    _dual,
     _f_infinity,
     _f_series,
     _kmult,
-    _perturbed_a,
     _perturbed_b,
 )
 from qgalois.verify import random_case_i_params
@@ -207,11 +207,11 @@ def test_criterion_07_logarithmic_degenerations():
         lad3.append(_f_series(pe, CTX)(z) @ _kmult(CTX.q / pe.b2, CTX.q / pe.b3))
     zi = 3.1 * cmath.exp(0.7j)
     lad4 = []
-    scale = np.array([a ** -2, 1.0 / a, 1.0])
+    # the infinity side runs the zero-side ladder of the dual equation
     for eps in _LADDER:
-        pe = _perturbed_a(p4, eps)
-        G, cols = _f_infinity(pe, CTX)
-        lad4.append(G(zi) @ (cols[:, None] * _kmult(a / pe.a[1], a / pe.a[2]) * scale))
+        pe = _perturbed_b(_dual(p4, CTX), eps, CTX)
+        F_eps, M_eps = _f_series(pe, CTX), _kmult(CTX.q / pe.b2, CTX.q / pe.b3)
+        lad4.append(_f_infinity(p4, lambda w: F_eps(w) @ M_eps, CTX)(zi))
     o3 = ladder_order(lad3)
     o4 = ladder_order(lad4)
     ok = worst3 < 1e-6 and worst4 < 1e-6 and o3 >= 1.0 - 0.1 and o4 >= 1.0 - 0.1

@@ -13,11 +13,16 @@ from qgalois import (
     connection_eval,
     core_closed_form,
     core_numeric,
+    decompose,
     det_formula,
     e_matrix,
     fmatrix_at,
     gauge_residual,
+    in_q_spiral,
+    log_q,
+    lq,
     minor_formula,
+    qpochhammer_infinite,
     system_matrix,
     twisted_birkhoff,
 )
@@ -95,10 +100,12 @@ def test_gauge_matrix_at_zero_only_on_the_zero_side(ctx, p):
             fmatrix_at(loc0, p, z, ctx)
 
 
+NONFINITE = [math.inf, -math.inf, math.nan, complex(0.3, math.nan)]
+NONFINITE_IDS = ["inf", "-inf", "nan", "nan-imag"]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize(
-    "z", [math.inf, -math.inf, math.nan, complex(0.3, math.nan)], ids=["inf", "-inf", "nan", "nan-imag"]
-)
+@pytest.mark.parametrize("z", NONFINITE, ids=NONFINITE_IDS)
 def test_system_matrix_needs_a_finite_point(ctx, p, z):
     with pytest.raises(DomainError, match="finite point"):
         system_matrix(p, z, ctx)
@@ -111,3 +118,15 @@ def test_system_matrix_at_zero_is_defined(ctx, p):
     assert np.isfinite(A0).all()
     expect = np.sort_complex(np.array([1.0, ctx.q / p.b2, ctx.q / p.b3], dtype=complex))
     assert np.max(np.abs(np.sort_complex(np.linalg.eigvals(A0)) - expect)) < 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", NONFINITE, ids=NONFINITE_IDS)
+@pytest.mark.parametrize(
+    "primitive", [qpochhammer_infinite, lq, log_q, decompose, in_q_spiral],
+    ids=lambda f: f.__name__,
+)
+def test_primitives_reject_nonfinite_arguments(ctx, primitive, c):
+    # neither a NaN, a finite value read off a NaN, nor an untyped error
+    with pytest.raises(DomainError, match="finite"):
+        primitive(c, ctx)
