@@ -59,7 +59,6 @@ from .hypersystem import (
     e_matrix,
     fmatrix_at,
     gauge_residual,
-    ladder_order,
 )
 from .connection import (
     ConnectionEval,

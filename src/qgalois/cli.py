@@ -148,16 +148,7 @@ def cmd_verify(ctx: QContext, fmt: str, suite: str, seed: int) -> int:
     payload = {
         "command": "verify",
         "suite": suite,
-        "checks": [
-            {
-                "suite": r.suite,
-                "name": r.name,
-                "residual": r.residual,
-                "threshold": r.threshold,
-                "passed": r.passed,
-            }
-            for r in results
-        ],
+        "checks": [asdict(r) for r in results],
         "all_passed": all(r.passed for r in results),
     }
     _emit(payload, fmt)

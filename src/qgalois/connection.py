@@ -26,8 +26,11 @@ q a_i z / b_j.  The closed-form core, the twisted matrix, the determinant and
 minor formulas (all ten at a point from one theta call) and connection_eval
 take their thetas and weights from it; a single point is a batch of one.
 In the logarithmic cases (b = (q,q,q), possibly a = (a,a,a)), which have
-no closed form here, twisted_birkhoff forms the numeric core point by point
-and twists the batch with one q-logarithm call over z.
+no closed form here, the local gauge matrices are limits in a perturbation
+eps of the parameters, each the mean of five perturbed frames on a circle
+around eps = 0 (hypersystem._f_log_zero); twisted_birkhoff forms their
+numeric core point by point and twists the batch with one q-logarithm call
+over z.
 """
 
 from __future__ import annotations
@@ -332,9 +335,9 @@ def twisted_birkhoff(p: HyperParams, z, ctx: QContext) -> np.ndarray:
     diag((1/z)^(-alpha)) [p_ij theta_q(q a_i z/b_j)/theta_q(z)] diag(z^(-beta)).
 
     z may be an array, giving shape z.shape + (3, 3): one batched closed-form
-    evaluation.  In the logarithmic cases the numeric core of the
-    epsilon-ladder limit gauge matrices is formed point by point and twisted
-    as one batch (see _Equation.twisted)."""
+    evaluation.  In the logarithmic cases the numeric core of the limit
+    gauge matrices (circle means of perturbed frames) is formed point by
+    point and twisted as one batch (see _Equation.twisted)."""
     _check_point(z)
     eq = _equation(p, ctx)
     if eq.logarithmic:

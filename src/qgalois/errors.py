@@ -38,7 +38,7 @@ class PoleChainError(QGaloisError, ArithmeticError):
 
 
 class ExtrapolationDivergedError(QGaloisError, RuntimeError):
-    """The epsilon-ladder limit failed to stabilize."""
+    """The logarithmic limit, the mean of the perturbed frames, is not finite."""
 
 
 class SpiralCollisionError(QGaloisError, ValueError):

@@ -8,10 +8,10 @@ builds the local solutions Y = F e_J at 0 and at infinity.
 
 F at 0 is one 3phi2 series per column (_f_series); F at infinity is a fixed
 transform of F at 0 of the dual equation (_f_infinity).  For b2 = b3 = q, F at
-0 is the limit of F times one explicit frame multiplier (_kmult) by a
-Richardson-extrapolated epsilon-ladder whose five frames are built once
-(_f_log_zero); case iv is its own dual, so that one ladder also gives its F
-at infinity, times a constant matrix.
+0 is the limit of F times one explicit frame multiplier (_kmult) as the
+perturbation eps of b2, b3 goes to 0, taken as the mean of five frames on a
+circle around eps = 0 and built once (_f_log_zero); case iv is its own dual,
+so that one limit also gives its F at infinity, times a constant matrix.
 fmatrix_at continues F beyond the series radius by the functional equation.
 
 Every local exponent matrix is J = diag(exponents) U, read off the
@@ -58,7 +58,6 @@ __all__ = [
     "e_matrix",
     "fmatrix_at",
     "gauge_residual",
-    "ladder_order",
 ]
 
 
@@ -388,38 +387,11 @@ def gauge_residual(local: LocalData, p: HyperParams, z: complex, ctx: QContext) 
 
 # --- logarithmic degenerations -------------------------------------------------
 
-_LADDER = tuple(1e-3 / 2 ** k for k in range(5))
-
-
-def _richardson(values: list[np.ndarray]) -> np.ndarray:
-    """Richardson extrapolation to 0 for a ladder f(eps), f(eps/2), ... with an
-    integer-power error expansion."""
-    table = [np.asarray(v, dtype=complex) for v in values]
-    level = 1
-    while len(table) > 1:
-        factor = 2.0 ** level
-        table = [
-            (factor * table[k + 1] - table[k]) / (factor - 1.0)
-            for k in range(len(table) - 1)
-        ]
-        level += 1
-    return table[0]
-
-
-def ladder_order(values: list[np.ndarray]) -> float:
-    """Observed convergence order of an eps-halving ladder (median over entries)."""
-    if len(values) < 3:
-        raise DomainError("need at least three ladder values")
-    d1 = np.abs(values[-3] - values[-2]).ravel()
-    d2 = np.abs(values[-2] - values[-1]).ravel()
-    mask = (d1 > 0) & (d2 > 0)
-    if not np.any(mask):
-        return float("inf")
-    return float(np.median(np.log2(d1[mask] / d2[mask])))
+_CIRCLE = 0.004  # radius of the epsilon-circle, in units of 1 - |q|
 
 
 def _kmult(r2: complex, r3: complex) -> np.ndarray:
-    """Frame multiplier of the epsilon-ladder: the explicit form of
+    """Frame multiplier of the logarithmic limit: the explicit form of
     V(1, r2, r3)^{-1} K0 with K0 = [[1,-1,1],[1,0,0],[1,1,0]], V the
     Vandermonde matrix with rows (1,1,1), (1,r2,r3), (1,r2^2,r3^2)."""
     d1 = (r2 - 1.0) * (r3 - 1.0)
@@ -435,22 +407,29 @@ def _kmult(r2: complex, r3: complex) -> np.ndarray:
     )
 
 
-def _perturbed_b(p: HyperParams, eps: float, ctx: QContext) -> HyperParams:
+def _perturbed_b(p: HyperParams, eps: complex, ctx: QContext) -> HyperParams:
     # distinct perturbations: the limit multiplier needs b2 != b3
     return HyperParams(a=p.a, b2=ctx.q * (1.0 + eps), b3=ctx.q * (1.0 + 2.0 * eps))
 
 
 def _f_log_zero(p: HyperParams, ctx: QContext) -> _Gauge:
     """F at 0 for b2 = b3 = q: the eps -> 0 limit of F(a, b(eps); z)
-    _kmult(q/b2(eps), q/b3(eps)), Richardson-extrapolated over one frame per
-    rung of _LADDER, the frames built once here."""
+    _kmult(q/b2(eps), q/b3(eps)), as the mean of five frames, built once here,
+    at eps = r e^(2 pi i k/5) with r = _CIRCLE (1 - |q|).
+
+    The product is analytic in eps with a removable singularity at 0, so the
+    mean over five equispaced points of a circle is its limit up to the
+    Taylor terms of order 5, 10, ... (the trapezoidal rule on a circle).  The
+    nearest pole of the perturbed denominators is about 1 - |q| away, hence
+    the radius; rounding grows only as 1/r^2, through the multipliers."""
+    r = _CIRCLE * (1.0 - abs(ctx.q))
     frames = []
-    for eps in _LADDER:
-        pe = _perturbed_b(p, eps, ctx)
+    for k in range(5):
+        pe = _perturbed_b(p, r * cmath.exp(0.4j * math.pi * k), ctx)
         frames.append((_f_series(pe, ctx), _kmult(ctx.q / pe.b2, ctx.q / pe.b3)))
 
     def F(z: complex) -> np.ndarray:
-        out = _richardson([F_eps(z) @ M_eps for F_eps, M_eps in frames])
+        out = sum(F_eps(z) @ M_eps for F_eps, M_eps in frames) / len(frames)
         if not np.all(np.isfinite(out)):
             raise ExtrapolationDivergedError("logarithmic limit diverged")
         return out
@@ -467,9 +446,9 @@ def _check_log_zero_params(pattern: SpiralPattern) -> None:
 def local_solution_zero_log(p: HyperParams, ctx: QContext) -> LocalData:
     """Local solution at 0 for b2 = b3 = q (logarithmic case).
 
-    F is the eps-ladder limit of F(a, b(eps); z) times the frame multiplier,
-    Richardson-extrapolated (_f_log_zero); the exponent matrix is the
-    unipotent J_q."""
+    F is the eps -> 0 limit of F(a, b(eps); z) times the frame multiplier,
+    the mean of five frames on a circle around eps = 0 (_f_log_zero); the
+    exponent matrix is the unipotent J_q."""
     _check_log_zero_params(spiral_pattern(p, ctx))
     Jq = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=complex)
     return LocalData(
@@ -494,7 +473,8 @@ def local_solution_infinity_log(p: HyperParams, ctx: QContext) -> LocalData:
     """Local solution at infinity for a = (a,a,a), b = (q,q,q).
 
     The equation is its own dual, so F = G X with G the transform
-    (_f_infinity) of the dual's logarithmic F at 0 (_f_log_zero) and
+    (_f_infinity) of the dual's logarithmic F at 0, the same circle mean of
+    five perturbed frames as in local_solution_zero_log (_f_log_zero), and
     X = a^-4 [[1,0,0],[0,-a,a^2],[0,0,a^2]].  X is constant because G and F
     are analytic at infinity with the one exponent 1/a: M = G^-1 F solves
     M(qz) = J1 M J2^-1, which leaves only its constant term G(inf)^-1 F(inf),

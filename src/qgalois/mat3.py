@@ -55,7 +55,10 @@ def psl2_relation_residual(M: np.ndarray) -> float:
     return max(top, bot) / nrm
 
 
-def psl2_eigenvalue_check(M: np.ndarray, tol: float = 1e-8) -> bool:
+_EIG_TOL = 1e-8  # relative tolerance of psl2_eigenvalue_check
+
+
+def psl2_eigenvalue_check(M: np.ndarray) -> bool:
     """True iff the eigenvalues of M are of the form {1, alpha, 1/alpha}.
 
     The eigenvalue closest to 1 is matched to 1; the remaining pair must
@@ -68,7 +71,8 @@ def psl2_eigenvalue_check(M: np.ndarray, tol: float = 1e-8) -> bool:
     scale = max(float(np.max(np.abs(w))), 1.0)
     i1 = int(np.argmin(np.abs(w - 1.0)))
     rest = [w[j] for j in range(3) if j != i1]
-    return abs(w[i1] - 1.0) <= tol * scale and abs(rest[0] * rest[1] - 1.0) <= tol * scale
+    tol = _EIG_TOL * scale
+    return abs(w[i1] - 1.0) <= tol and abs(rest[0] * rest[1] - 1.0) <= tol
 
 
 def _check_index_pairs(*pairs) -> None:

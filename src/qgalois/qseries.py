@@ -162,11 +162,12 @@ def qcharacter(lam, z: complex, ctx: QContext):
     For |q| < |lam| <= 1 it is theta_q(z)/theta_q(lam*z); outside that
     annulus e_lam = z^(-k) e_(lam q^k) with the integer k that brings lam q^k
     into it.  The annulus is half-open at the |q| end and e_1 is 1, so
-    e_(q^k)(z) = z^k exactly.  All thetas come from one call.
+    e_(q^k)(z) = z^k exactly.  All thetas come from one call.  Raises
+    DomainError at a zero or non-finite lam or z.
     """
     lam = np.asarray(lam, dtype=complex)
-    if z == 0 or not lam.all():
-        raise DomainError("qcharacter needs lam != 0 and z != 0")
+    if z == 0 or not cmath.isfinite(z) or not (lam.all() and np.isfinite(lam).all()):
+        raise DomainError("qcharacter needs finite nonzero lam and z")
     flat = lam.reshape(-1)
     absq = abs(ctx.q)
     # k from the logs, then one step with the exact tests of the annulus edges
@@ -217,8 +218,15 @@ def qhyper_series(
     """sum_n  prod_i (num_i;q)_n / prod_j (den_j;q)_n  * z^n  for |z| < 1.
 
     General kernel behind phi3_2; the denominator tuple carries its own copy of
-    q when the classical normalization is wanted.
+    q when the classical normalization is wanted.  Raises DomainError at a
+    non-finite z or parameter.
     """
+    nums = [complex(v) for v in num]
+    dens = [complex(v) for v in den]
+    # one test for every input: a NaN or an infinity anywhere makes the sum
+    # non-finite (a NaN term would never meet the tail bound)
+    if not cmath.isfinite(z + sum(nums) + sum(dens)):
+        raise DomainError("3phi2 series needs a finite z and finite parameters")
     az = abs(z)
     if az >= 1.0:
         raise DivergenceError(f"series needs |z| < 1, got {az}")
@@ -226,8 +234,6 @@ def qhyper_series(
         return 1.0 + 0j, TruncationReport(terms_used=1, tail_bound=0.0)
     term = 1.0 + 0j
     total = 1.0 + 0j
-    nums = [complex(v) for v in num]
-    dens = [complex(v) for v in den]
     n = 0
     while True:
         ratio = z

@@ -36,6 +36,15 @@ __all__ = [
 ]
 
 
+# sample sizes of the suites
+_THETA_POINTS = 1000
+_CHARACTER_POINTS = 200
+_PARAM_SETS = 5  # parameter sets of the gauge and bmw suites
+_GAUGE_POINTS = 20  # per parameter set and side
+_CONNECTION_POINTS = 10  # per parameter set of the bmw and detminors suites
+_PSL2_PAIRS = 1000
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """One verified identity: measured residual against its threshold."""
@@ -73,9 +82,9 @@ def random_case_i_params(rng: np.random.Generator, ctx: QContext) -> hs.HyperPar
             return hs.HyperParams.from_exponents(ctx, tuple(alpha), tuple(beta))
 
 
-def suite_theta(ctx: QContext, rng: np.random.Generator, n: int = 1000) -> list[CheckResult]:
+def suite_theta(ctx: QContext, rng: np.random.Generator) -> list[CheckResult]:
     """theta functional equation and series/product agreement."""
-    pts = random_annulus_points(rng, n, ctx, 0.1, 0.9)
+    pts = random_annulus_points(rng, _THETA_POINTS, ctx, 0.1, 0.9)
     feq = 0.0
     prod = 0.0
     for z in pts:
@@ -89,10 +98,10 @@ def suite_theta(ctx: QContext, rng: np.random.Generator, n: int = 1000) -> list[
     ]
 
 
-def suite_characters(ctx: QContext, rng: np.random.Generator, n: int = 200) -> list[CheckResult]:
+def suite_characters(ctx: QContext, rng: np.random.Generator) -> list[CheckResult]:
     """q-character rescaling and shift laws; q-logarithm shift law."""
-    pts = random_annulus_points(rng, n, ctx, 0.15, 0.85)
-    lams = random_annulus_points(rng, n, ctx, 0.05, 0.95)
+    pts = random_annulus_points(rng, _CHARACTER_POINTS, ctx, 0.15, 0.85)
+    lams = random_annulus_points(rng, _CHARACTER_POINTS, ctx, 0.05, 0.95)
     r_scale = r_shift = r_lq = 0.0
     for z, lam in zip(pts, lams):
         e = qs.qcharacter(lam, z, ctx)
@@ -109,17 +118,15 @@ def suite_characters(ctx: QContext, rng: np.random.Generator, n: int = 200) -> l
     ]
 
 
-def suite_gauge(
-    ctx: QContext, rng: np.random.Generator, n_params: int = 5, n_points: int = 20
-) -> list[CheckResult]:
+def suite_gauge(ctx: QContext, rng: np.random.Generator) -> list[CheckResult]:
     """Gauge identity F(qz) J = A(z) F(z) for both local solutions."""
     out = []
-    for k in range(n_params):
+    for k in range(_PARAM_SETS):
         p = random_case_i_params(rng, ctx)
         loc0 = hs.local_solution_zero(p, ctx)
         loci = hs.local_solution_infinity(p, ctx)
-        pts0 = random_annulus_points(rng, n_points, ctx, 0.3, 2.0)
-        ptsi = [1.0 / z for z in random_annulus_points(rng, n_points, ctx, 0.3, 2.0)]
+        pts0 = random_annulus_points(rng, _GAUGE_POINTS, ctx, 0.3, 2.0)
+        ptsi = [1.0 / z for z in random_annulus_points(rng, _GAUGE_POINTS, ctx, 0.3, 2.0)]
         r0 = max(hs.gauge_residual(loc0, p, z, ctx) for z in pts0)
         ri = max(hs.gauge_residual(loci, p, z, ctx) for z in ptsi)
         out.append(_check("gauge", f"set{k}_zero", r0, 1e-8))
@@ -127,28 +134,24 @@ def suite_gauge(
     return out
 
 
-def suite_bmw(
-    ctx: QContext, rng: np.random.Generator, n_params: int = 5, n_points: int = 10
-) -> list[CheckResult]:
+def suite_bmw(ctx: QContext, rng: np.random.Generator) -> list[CheckResult]:
     """Numeric vs closed-form Birkhoff matrix agreement."""
     out = []
-    for k in range(n_params):
+    for k in range(_PARAM_SETS):
         p = random_case_i_params(rng, ctx)
         worst = 0.0
-        for z in random_annulus_points(rng, n_points, ctx):
+        for z in random_annulus_points(rng, _CONNECTION_POINTS, ctx):
             worst = max(worst, cn.connection_eval(p, z, ctx, "both").residual_cross)
         out.append(_check("bmw", f"set{k}_cross_method", worst, 1e-6))
     return out
 
 
-def suite_detminors(
-    ctx: QContext, rng: np.random.Generator, n_points: int = 10
-) -> list[CheckResult]:
+def suite_detminors(ctx: QContext, rng: np.random.Generator) -> list[CheckResult]:
     """Determinant and all nine 2x2 minor closed forms of the twisted matrix,
     plus localization of the determinant zero."""
     p = random_case_i_params(rng, ctx)
     det_res = minor_res = laplace_res = 0.0
-    for z in random_annulus_points(rng, n_points, ctx):
+    for z in random_annulus_points(rng, _CONNECTION_POINTS, ctx):
         B = cn.twisted_birkhoff(p, z, ctx)
         check = cn.check_det_minors(p, B, z, ctx)
         f = check.det_closed_form
@@ -180,12 +183,12 @@ def _random_sl2(rng: np.random.Generator) -> np.ndarray:
             return M / np.sqrt(d)
 
 
-def suite_psl2(ctx: QContext, rng: np.random.Generator, n: int = 1000) -> list[CheckResult]:
+def suite_psl2(ctx: QContext, rng: np.random.Generator) -> list[CheckResult]:
     """Symmetric-square embedding: homomorphism property, eigenvalue shape,
     and the quadratic entry relation."""
     hom = rel = 0.0
     eig_ok = True
-    for _ in range(n):
+    for _ in range(_PSL2_PAIRS):
         N1, N2 = _random_sl2(rng), _random_sl2(rng)
         R1, R2 = mat3.rho(N1), mat3.rho(N2)
         R12 = mat3.rho(N1 @ N2)

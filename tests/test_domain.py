@@ -22,6 +22,8 @@ from qgalois import (
     log_q,
     lq,
     minor_formula,
+    qcharacter,
+    qhyper_series,
     qpochhammer_infinite,
     system_matrix,
     twisted_birkhoff,
@@ -120,13 +122,38 @@ def test_system_matrix_at_zero_is_defined(ctx, p):
     assert np.max(np.abs(np.sort_complex(np.linalg.eigvals(A0)) - expect)) < 1e-12
 
 
+def qcharacter_lam(c, ctx):
+    return qcharacter(c, 0.7 + 0.2j, ctx)
+
+
+def qcharacter_z(c, ctx):
+    return qcharacter(np.array([0.6 + 0.1j, 0.8]), c, ctx)
+
+
+def qhyper_series_z(c, ctx):
+    return qhyper_series((0.3, 0.2), (0.5, 0.4), c, ctx)
+
+
+def qhyper_series_num(c, ctx):
+    return qhyper_series((0.3, c), (0.5, 0.4), 0.5, ctx)
+
+
+def qhyper_series_den(c, ctx):
+    return qhyper_series((0.3, 0.2), (c, 0.4), 0.5, ctx)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("c", NONFINITE, ids=NONFINITE_IDS)
 @pytest.mark.parametrize(
-    "primitive", [qpochhammer_infinite, lq, log_q, decompose, in_q_spiral],
+    "primitive",
+    [
+        qpochhammer_infinite, lq, log_q, decompose, in_q_spiral,
+        qcharacter_lam, qcharacter_z, qhyper_series_z, qhyper_series_num, qhyper_series_den,
+    ],
     ids=lambda f: f.__name__,
 )
 def test_primitives_reject_nonfinite_arguments(ctx, primitive, c):
-    # neither a NaN, a finite value read off a NaN, nor an untyped error
+    # neither a NaN, a finite value read off a NaN, a run to the term cap,
+    # nor an untyped or misleading error
     with pytest.raises(DomainError, match="finite"):
         primitive(c, ctx)

@@ -20,7 +20,7 @@ from qgalois import (
     rho,
     twisted_birkhoff,
 )
-from qgalois import connection, galois
+from qgalois import connection, galois, hypersystem
 
 
 @pytest.fixture
@@ -128,8 +128,31 @@ def test_generators_case_iv_display(ctx):
     assert np.max(np.abs(gens["2.a'"] - np.eye(3))) < 1e-8
     # unipotent at infinity: conjugate of [[1,a,0],[0,1,a],[0,0,1]]
     w = np.linalg.eigvals(gens["2.b"])
-    # conjugation by the ladder-limit twisted matrix carries its ~1e-6 error
+    # a full 3x3 Jordan block: a rounding error d in the matrix moves its
+    # eigenvalues by about d^(1/3), here ~7e-6 off 1
     assert np.max(np.abs(w - 1.0)) < 1e-4
+    # the well-conditioned form of the same statement: (2.b - I) is
+    # nilpotent of order exactly 3
+    N = gens["2.b"] - np.eye(3)
+    n = np.linalg.norm(N)
+    assert np.linalg.norm(N @ N @ N) <= 1e-12 * n ** 3
+    assert np.linalg.norm(N @ N) >= 0.1 * n ** 2
+
+
+@pytest.mark.parametrize("a_exps", [(0.13, 0.37, 0.71), (0.3, 0.3, 0.3)], ids=["iii", "iv"])
+def test_logarithmic_generators_do_not_depend_on_the_circle(monkeypatch, ctx, a_exps):
+    # the logarithmic limit is a mean over a circle of perturbations; twice
+    # the radius moves the generators by rounding only (reads <= 1.5e-9)
+    def generators():
+        pl = HyperParams(a=tuple(ctx.qpow(x) for x in a_exps), b2=ctx.q, b3=ctx.q)
+        return classify(pl, ctx).generators
+
+    base = generators()
+    monkeypatch.setattr(hypersystem, "_CIRCLE", 2.0 * hypersystem._CIRCLE)
+    wide = generators()
+    assert [label for label, _ in base] == [label for label, _ in wide]
+    for (label, M), (_, W) in zip(base, wide):
+        assert np.max(np.abs(M - W)) <= 1e-8 * np.max(np.abs(M)), label
 
 
 def test_generators_case_ii_local_only(ctx):

@@ -1,5 +1,5 @@
 """The local solutions against mpmath references at 40-50 digits: the gauge
-matrix at infinity against its own column recipe, and both epsilon-ladder
+matrix at infinity against its own column recipe, and both logarithmic
 limits against the exact product F(eps) M(eps) at a tiny eps."""
 
 import cmath
@@ -87,7 +87,7 @@ def test_f_infinity_matches_its_column_recipe(q):
     assert worst < 1e-13
 
 
-def _ladder_zero_ref(p, ctx, z, eps):
+def _limit_zero_ref(p, ctx, z, eps):
     """F(a, (q, q(1+eps), q(1+2 eps)); z) V(1, q/b2, q/b3)^-1 K0, all in mpmath."""
     q = _mp(ctx.q)
     b = [q, q * (1 + eps), q * (1 + 2 * eps)]
@@ -95,7 +95,7 @@ def _ladder_zero_ref(p, ctx, z, eps):
     return _f_zero_ref([_mp(v) for v in p.a], b, q, _mp(z)) * M
 
 
-def _ladder_infinity_ref(p, ctx, z, eps):
+def _limit_infinity_ref(p, ctx, z, eps):
     """F(a(eps), (q,q,q); z) V(q a(eps))^-1 W(a) with a(eps) = (a, a(1+eps),
     a(1+eps)^2), all in mpmath."""
     q, a = _mp(ctx.q), _mp(p.a[0])
@@ -107,20 +107,20 @@ def _ladder_infinity_ref(p, ctx, z, eps):
     return _f_infinity_ref(ae, [q, q, q], q, _mp(z)) * M
 
 
-@pytest.mark.parametrize("q", [0.5, 0.7, 0.5 * cmath.exp(0.5j)])
+@pytest.mark.parametrize("q", [0.5, 0.7, 0.5 * cmath.exp(0.5j), 0.9])
 @pytest.mark.parametrize("side", ["zero", "infinity"])
 def test_ladder_limits_match_the_exact_product(q, side):
-    # case iii at 0 and case iv at infinity: the Richardson-extrapolated ladder
+    # case iii at 0 and case iv at infinity: the circle mean of five frames
     # against F(eps) M(eps) at eps = 1e-20, whose own error is O(eps)
     ctx = QContext(q)
     if side == "zero":
         p = HyperParams(a=tuple(ctx.qpow(x) for x in (0.13, 0.37, 0.71)), b2=ctx.q, b3=ctx.q)
-        loc, z, ref = local_solution_zero_log(p, ctx), 0.35 * cmath.exp(1.2j), _ladder_zero_ref
+        loc, z, ref = local_solution_zero_log(p, ctx), 0.35 * cmath.exp(1.2j), _limit_zero_ref
     else:
         a = ctx.qpow(0.3)
         p = HyperParams(a=(a, a, a), b2=ctx.q, b3=ctx.q)
         loc = local_solution_infinity_log(p, ctx)
-        z, ref = 1.3 * loc.radius * cmath.exp(0.7j), _ladder_infinity_ref
+        z, ref = 1.3 * loc.radius * cmath.exp(0.7j), _limit_infinity_ref
     with mpmath.workdps(50):
         expect = ref(p, ctx, z, mpmath.mpf("1e-20"))
-    assert _rel(loc.F(z), expect) < 1e-6
+    assert _rel(loc.F(z), expect) < 1e-8
