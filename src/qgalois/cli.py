@@ -124,21 +124,29 @@ def cmd_classify(ctx: QContext, fmt: str, p: HyperParams) -> int:
     return 0 if report.classification != "undetermined" else 2
 
 
+def _connection_rows(p: HyperParams, zs: list[complex], ctx: QContext) -> list[dict]:
+    """One table row per point, from one connection_eval and one
+    check_det_minors call over all points.  If the batch raises, each point
+    is evaluated as a batch of one, and only the rows that raise are
+    skipped."""
+    z = np.array(zs)
+    try:
+        ev = cn.connection_eval(p, z, ctx, "both")
+        check = cn.check_det_minors(p, ev.P_twisted, z, ctx)
+    except QGaloisError as exc:
+        if len(zs) == 1:
+            return [{"z": zs[0], "skipped": f"{type(exc).__name__}: {exc}"}]
+        return [row for w in zs for row in _connection_rows(p, [w], ctx)]
+    columns = {"P": ev.P, "P_twisted": ev.P_twisted, "cross_method_residual": ev.residual_cross}
+    columns.update(asdict(check))
+    return [
+        {"z": w, **{k: v[i] if v.ndim > 1 else v[i].item() for k, v in columns.items()}}
+        for i, w in enumerate(zs)
+    ]
+
+
 def cmd_connection(ctx: QContext, fmt: str, p: HyperParams, zs: list[complex]) -> int:
-    rows = []
-    for z in zs:
-        entry: dict = {"z": z}
-        try:
-            ev = cn.connection_eval(p, z, ctx, "both")
-            entry.update(
-                P=ev.P,
-                P_twisted=ev.P_twisted,
-                cross_method_residual=ev.residual_cross,
-                **asdict(cn.check_det_minors(p, ev.P_twisted, z, ctx)),
-            )
-        except QGaloisError as exc:
-            entry["skipped"] = f"{type(exc).__name__}: {exc}"
-        rows.append(entry)
+    rows = _connection_rows(p, zs, ctx)
     _emit({"command": "connection", "q": ctx.q, "rows": rows}, fmt)
     return 2 if any("skipped" in row for row in rows) else 0
 

@@ -23,8 +23,12 @@ The z-dependent side is evaluated over arrays of z by one implementation on
 that record: the twist weights exp(-omega log_q(z) log q) from one log_q call
 over z and 1/z, and the core from one theta call over z and the nine
 q a_i z / b_j.  The closed-form core, the twisted matrix, the determinant and
-minor formulas (all ten at a point from one theta call) and connection_eval
-take their thetas and weights from it; a single point is a batch of one.
+minor formulas (all eleven thetas of a batch from one theta call) and
+connection_eval take their thetas and weights from it.  connection_eval
+takes the character matrices of a batch from one q-character call per side
+and P from one solve over the stacked 3x3 matrices; check_det_minors forms
+the nine minors of a stacked twisted matrix in array operations.  A single
+point is a batch of one, and only the numeric core is formed point by point.
 In the logarithmic cases (b = (q,q,q), possibly a = (a,a,a)), which have
 no closed form here, the local gauge matrices are limits in a perturbation
 eps of the parameters, each the mean of five perturbed frames on a circle
@@ -47,7 +51,7 @@ from .errors import (
     SingularSolutionError,
     SpiralCollisionError,
 )
-from .mat3 import _check_index_pairs, minor2
+from .mat3 import _check_index_pairs
 from .hypersystem import (
     HyperParams,
     LocalData,
@@ -82,11 +86,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConnectionEval:
-    """Connection matrices at one point, by one or both methods."""
+    """Connection matrices at one point or a batch, by one or both methods;
+    residual_cross is a float for one point and an array for a batch."""
 
     P: np.ndarray
     P_twisted: np.ndarray
-    residual_cross: float | None = None
+    residual_cross: float | np.ndarray | None = None
 
 
 # The ratios of SpiralPattern, infinity side then zero side; b2/q and b3/q
@@ -237,31 +242,37 @@ class _Equation:
         left = rows[..., :, None] * _unipotent_power(locinf.U, -ell)
         return left @ core @ _unipotent_power(loc0.U, ell)
 
-    def det_and_minors(self, z: complex, pairs) -> tuple[complex, list[complex]]:
-        """Closed forms at one z of the twisted determinant and of the minors
-        with (rows, cols) in pairs, from one weights and one theta call.
+    def det_and_minors(self, z, pairs) -> tuple[np.ndarray, np.ndarray]:
+        """Closed forms at z (a complex or an array) of the twisted
+        determinant, shape z.shape, and of the minors with (rows, cols) in
+        pairs, shape z.shape + (len(pairs),), from one weights and one theta
+        call.
 
         Each is its z-independent factor, times the weights of its rows and
         columns, times theta_q(q^2 prod(a) z / prod(b)) / theta_q(z) over the
         a's of its rows and the b's of its columns.  The genericity check is
         the caller's."""
+        shape = np.shape(z)
+        # at least 1-d, so that one point rounds as it does within a batch
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
         q = self.ctx.q
         a, b = self.p.a, self.p.b(self.ctx)
         wr, wc = self.weights(z)
-        args = [z, q * q * a[0] * a[1] * a[2] * z / (b[1] * b[2])]
-        args += [
-            q * q * a[i1 - 1] * a[i2 - 1] * z / (b[j1 - 1] * b[j2 - 1])
-            for (i1, i2), (j1, j2) in pairs
-        ]
-        th = theta(np.array(args), self.ctx)
-        det = self.det_prefactor * np.prod(wr) * np.prod(wc) * th[1] / th[0]
-        minors = [
-            self.minor_constant(rows, cols)
-            * (wr[rows[0] - 1] * wr[rows[1] - 1] * wc[cols[0] - 1] * wc[cols[1] - 1])
-            * th[k] / th[0]
-            for k, (rows, cols) in enumerate(pairs, start=2)
-        ]
-        return complex(det), [complex(m) for m in minors]
+        num = [1.0, q * q * a[0] * a[1] * a[2]]
+        den = [1.0, b[1] * b[2]]
+        for (i1, i2), (j1, j2) in pairs:
+            num.append(q * q * a[i1 - 1] * a[i2 - 1])
+            den.append(b[j1 - 1] * b[j2 - 1])
+        th = theta(z[..., None] * np.array(num) / np.array(den), self.ctx)
+        det = self.det_prefactor * np.prod(wr, axis=-1) * np.prod(wc, axis=-1) * th[..., 1] / th[..., 0]
+        constants = np.array([self.minor_constant(rows, cols) for rows, cols in pairs], dtype=complex)
+        i1, i2, j1, j2 = _minor_index(pairs)
+        minors = (
+            constants
+            * (wr[..., i1] * wr[..., i2] * wc[..., j1] * wc[..., j2])
+            * th[..., 2:] / th[..., :1]
+        )
+        return det.reshape(shape), minors.reshape(shape + (len(pairs),))
 
     def core(self, z) -> np.ndarray:
         """The theta-quotient core p_ij theta_q(q a_i z/b_j)/theta_q(z) at z
@@ -272,6 +283,12 @@ class _Equation:
         shifts = np.array([q * ai / bj for ai in self.p.a for bj in self.p.b(self.ctx)])
         th = theta(np.concatenate((z[..., None], z[..., None] * shifts), axis=-1), self.ctx)
         return self.p_matrix * (th[..., 1:].reshape(z.shape + (3, 3)) / th[..., 0, None, None])
+
+
+def _minor_index(pairs) -> np.ndarray:
+    """The 0-based rows i1, i2 and columns j1, j2 of the minors with
+    (rows, cols) in pairs, as four index arrays."""
+    return np.array([(*rows, *cols) for rows, cols in pairs], dtype=int).reshape(-1, 4).T - 1
 
 
 def _equation(p: HyperParams, ctx: QContext) -> _Equation:
@@ -324,10 +341,21 @@ def core_numeric(p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:
     return np.linalg.solve(Fi, fmatrix_at(loc0, p, z, ctx))
 
 
-def _e_pair(p: HyperParams, z: complex, ctx: QContext) -> tuple[np.ndarray, np.ndarray]:
+def _numeric_cores(p: HyperParams, z, ctx: QContext) -> np.ndarray:
+    """core_numeric at each point of z, shape z.shape + (3, 3)."""
+    cores = [core_numeric(p, w, ctx) for w in map(complex, np.ravel(z))]
+    return np.reshape(cores, np.shape(z) + (3, 3))
+
+
+def _e_pair(p: HyperParams, z, ctx: QContext) -> tuple[np.ndarray, np.ndarray]:
     """Character matrices e_J(z) of the local solutions at infinity and at 0."""
     loc0, locinf = local_pair(p, ctx)
     return e_matrix(locinf, z, ctx), e_matrix(loc0, z, ctx)
+
+
+def _like(z, value):
+    """value as a Python scalar at a scalar z, else the array."""
+    return value.item() if np.ndim(z) == 0 else value
 
 
 def twisted_birkhoff(p: HyperParams, z, ctx: QContext) -> np.ndarray:
@@ -341,89 +369,93 @@ def twisted_birkhoff(p: HyperParams, z, ctx: QContext) -> np.ndarray:
     _check_point(z)
     eq = _equation(p, ctx)
     if eq.logarithmic:
-        cores = [core_numeric(p, w, ctx) for w in map(complex, np.ravel(z))]
-        return eq.twisted(z, np.reshape(cores, np.shape(z) + (3, 3)))
+        return eq.twisted(z, _numeric_cores(p, z, ctx))
     eq = _generic(p, ctx)
     return eq.twisted(z, eq.core(z))
 
 
-def det_formula(p: HyperParams, z: complex, ctx: QContext) -> complex:
-    """Closed form of det of the twisted connection matrix."""
+def det_formula(p: HyperParams, z, ctx: QContext):
+    """Closed form of det of the twisted connection matrix; z may be an
+    array, giving an array of that shape."""
     _check_point(z)
-    return _generic(p, ctx).det_and_minors(z, ())[0]
+    return _like(z, _generic(p, ctx).det_and_minors(z, ())[0])
 
 
 def minor_formula(
     p: HyperParams,
     rows: tuple[int, int],
     cols: tuple[int, int],
-    z: complex,
+    z,
     ctx: QContext,
-) -> complex:
-    """Closed form of the (i1,i2) x (j1,j2) minor of the twisted matrix;
-    BadIndexError unless rows and cols are each two distinct indices in
-    {1, 2, 3}, as in minor2."""
+):
+    """Closed form of the (i1,i2) x (j1,j2) minor of the twisted matrix; z
+    may be an array, giving an array of that shape.  BadIndexError unless
+    rows and cols are each two distinct indices in {1, 2, 3}, as in minor2."""
     _check_index_pairs(rows, cols)
     _check_point(z)
-    return _generic(p, ctx).det_and_minors(z, [(rows, cols)])[1][0]
+    return _like(z, _generic(p, ctx).det_and_minors(z, [(rows, cols)])[1][..., 0])
 
 
 @dataclass(frozen=True)
 class DetMinorCheck:
     """A twisted matrix against the determinant and minor closed forms; the
-    mismatches are relative, the minor one the worst of all nine."""
+    mismatches are relative, the minor one the worst of all nine.  Each field
+    is a scalar for one point and an array of the points' shape for a batch."""
 
-    det_numeric: complex
-    det_closed_form: complex
-    det_mismatch: float
-    max_minor_mismatch: float
+    det_numeric: complex | np.ndarray
+    det_closed_form: complex | np.ndarray
+    det_mismatch: float | np.ndarray
+    max_minor_mismatch: float | np.ndarray
 
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))
+_MINORS = tuple((rows, cols) for rows in _PAIRS for cols in _PAIRS)
 
 
-def check_det_minors(p: HyperParams, B: np.ndarray, z: complex, ctx: QContext) -> DetMinorCheck:
+def check_det_minors(p: HyperParams, B: np.ndarray, z, ctx: QContext) -> DetMinorCheck:
     """Check the twisted matrix B at z against the closed forms of its
     determinant and all nine minors (det_formula and minor_formula, here from
-    one evaluation)."""
+    one evaluation).  z may be an array, with B of shape z.shape + (3, 3)."""
     _check_point(z)
-    det_n = complex(np.linalg.det(B))
-    pairs = [(rows, cols) for rows in _PAIRS for cols in _PAIRS]
-    det_c, minors = _generic(p, ctx).det_and_minors(z, pairs)
-    worst = 0.0
-    for (rows, cols), mf in zip(pairs, minors):
-        worst = max(worst, abs(minor2(B, rows, cols) - mf) / max(abs(mf), 1e-300))
+    det_n = np.linalg.det(B)
+    det_c, minors = _generic(p, ctx).det_and_minors(z, _MINORS)
+    i1, i2, j1, j2 = _minor_index(_MINORS)
+    numeric = B[..., i1, j1] * B[..., i2, j2] - B[..., i1, j2] * B[..., i2, j1]
+    worst = np.max(np.abs(numeric - minors) / np.maximum(np.abs(minors), 1e-300), axis=-1)
     return DetMinorCheck(
-        det_numeric=det_n,
-        det_closed_form=det_c,
-        det_mismatch=abs(det_n - det_c) / max(abs(det_c), 1e-300),
-        max_minor_mismatch=worst,
+        det_numeric=_like(z, det_n),
+        det_closed_form=_like(z, det_c),
+        det_mismatch=_like(z, np.abs(det_n - det_c) / np.maximum(np.abs(det_c), 1e-300)),
+        max_minor_mismatch=_like(z, worst),
     )
 
 
-def connection_eval(
-    p: HyperParams, z: complex, ctx: QContext, method: str = "both"
-) -> ConnectionEval:
+def connection_eval(p: HyperParams, z, ctx: QContext, method: str = "both") -> ConnectionEval:
     """P(z) = Y_infinity(z)^{-1} Y_zero(z) and the twisted matrix at z, from
     the numeric or the closed-form core; 'both' uses the closed form and also
     reports the cross-method disagreement of P (relative, entrywise max).
-    The closed form's genericity check comes before any numeric work."""
+    The closed form's genericity check comes before any numeric work.
+
+    z may be an array, giving matrices of shape z.shape + (3, 3) and
+    residuals of shape z.shape: the characters come from one q-character
+    call per side, the closed-form core from one theta call and P from one
+    stacked solve; the numeric core is formed point by point."""
     if method not in ("both", "numeric", "closed_form"):
         raise DomainError(f"unknown method {method!r}")
     _check_point(z)
-    if method != "numeric":
-        _generic(p, ctx)
+    eq = _equation(p, ctx) if method == "numeric" else _generic(p, ctx)
     ei, e0 = _e_pair(p, z, ctx)
     if method != "closed_form":
-        numeric = core_numeric(p, z, ctx)
-    core = numeric if method == "numeric" else core_closed_form(p, z, ctx)
+        numeric = _numeric_cores(p, z, ctx)
+    core = numeric if method == "numeric" else eq.core(z)
     P = np.linalg.solve(ei, core) @ e0
     res = None
     if method == "both":
         Pn = np.linalg.solve(ei, numeric) @ e0
-        res = float(np.max(np.abs(Pn - P)) / max(np.max(np.abs(P)), 1e-300))
+        scale = np.maximum(np.max(np.abs(P), axis=(-2, -1)), 1e-300)
+        res = _like(z, np.max(np.abs(Pn - P), axis=(-2, -1)) / scale)
     return ConnectionEval(
         P=P,
-        P_twisted=_equation(p, ctx).twisted(z, core),
+        P_twisted=eq.twisted(z, core),
         residual_cross=res,
     )

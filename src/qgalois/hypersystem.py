@@ -19,7 +19,7 @@ parameters: diag(1, q/b2, q/b3) or the unipotent J_q at 0, diag(1/a_i) or
 (1/a) (a J_infinity) at infinity.  LocalData stores J, the exponents and the
 unipotent part U, and inverts J once, when fmatrix_at first continues F
 toward 0 on the infinity side; e_J is then e_D U^(l_q(z)), with e_D from one
-q-character call over the exponents.
+q-character call over the exponents and every point.
 """
 
 from __future__ import annotations
@@ -324,24 +324,26 @@ def _check_point(z) -> None:
         raise DomainError("evaluation points must be finite and nonzero")
 
 
-def e_matrix(local: LocalData, z: complex, ctx: QContext) -> np.ndarray:
+def e_matrix(local: LocalData, z, ctx: QContext) -> np.ndarray:
     """Character matrix e_J(z) = e_D(z) U^(l_q(z)) with e_J(qz) = J e_J(z),
-    for the local exponent matrix J = diag(exponents) U of a local solution.
+    for the local exponent matrix J = diag(exponents) U of a local solution,
+    at a complex z or over an array, shape z.shape + (3, 3).
 
     e_D holds the q-characters of the exponents, from one qcharacter call
-    (via 1/z and 1/lambda on the infinity side).  The q-logarithm polynomial
-    of the unipotent part satisfies the required shift law on both sides;
-    l_q is evaluated only when U != I.
+    over z and the exponents (via 1/z and 1/lambda on the infinity side).
+    The q-logarithm polynomial of the unipotent part satisfies the required
+    shift law on both sides; l_q is evaluated only when U != I.
     """
     _check_point(z)
     lam = np.array(local.exponents, dtype=complex)
+    z = np.asarray(z, dtype=complex)
     if local.side == "zero":
-        eD = qcharacter(lam, z, ctx)
+        eD = qcharacter(lam, z[..., None], ctx)
     else:
-        eD = qcharacter(1.0 / lam, 1.0 / z, ctx)
+        eD = qcharacter(1.0 / lam, 1.0 / z[..., None], ctx)
     if not local.logarithmic:
-        return eD[:, None] * np.eye(3, dtype=complex)
-    return eD[:, None] * _unipotent_power(local.U, lq(z, ctx))
+        return eD[..., :, None] * np.eye(3, dtype=complex)
+    return eD[..., :, None] * _unipotent_power(local.U, lq(z, ctx))
 
 
 def fmatrix_at(local: LocalData, p: HyperParams, z: complex, ctx: QContext) -> np.ndarray:

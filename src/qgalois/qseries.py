@@ -5,7 +5,7 @@ All evaluations are error-bounded: truncated series/products stop once a
 geometric tail bound drops below ctx.eps_trunc, and raise NonConvergentError
 past the hard cap of _N_MAX terms; the series-valued operations return a
 TruncationReport alongside the value.  theta and lq also take an array of z,
-and qcharacter an array of lambda; the theta series has one truncation order
+and qcharacter arrays of lambda and z; the theta series has one truncation order
 per context, so every element gets the same arithmetic as a scalar.
 """
 
@@ -155,34 +155,41 @@ def theta_triple_product(z: complex, ctx: QContext) -> complex:
     )
 
 
-def qcharacter(lam, z: complex, ctx: QContext):
+def qcharacter(lam, z, ctx: QContext):
     """The q-character e_lam: meromorphic solution of e(qz) = lam * e(z), at
-    a complex lam or elementwise over an array of lam (same shape back).
+    a complex lam and z, or elementwise over arrays of lam and z that
+    broadcast against each other (the broadcast shape back).
 
     For |q| < |lam| <= 1 it is theta_q(z)/theta_q(lam*z); outside that
     annulus e_lam = z^(-k) e_(lam q^k) with the integer k that brings lam q^k
     into it.  The annulus is half-open at the |q| end and e_1 is 1, so
-    e_(q^k)(z) = z^k exactly.  All thetas come from one call.  Raises
-    DomainError at a zero or non-finite lam or z.
+    e_(q^k)(z) = z^k exactly.  All thetas come from one call, theta_q(z) once
+    per z.  Raises DomainError at a zero or non-finite lam or z.
     """
     lam = np.asarray(lam, dtype=complex)
-    if z == 0 or not cmath.isfinite(z) or not (lam.all() and np.isfinite(lam).all()):
+    z = np.asarray(z, dtype=complex)
+    if not (z.all() and np.isfinite(z).all() and lam.all() and np.isfinite(lam).all()):
         raise DomainError("qcharacter needs finite nonzero lam and z")
-    flat = lam.reshape(-1)
+    # at least 1-d throughout, so that a scalar rounds as it does within an array
+    lam1, z1 = np.atleast_1d(lam, z)
+    flat = lam1.reshape(-1)
     absq = abs(ctx.q)
     # k from the logs, then one step with the exact tests of the annulus edges
     k = np.ceil(np.log(np.abs(flat)) / -math.log(absq))
     size = np.abs(flat * ctx.q ** k)
     k[size > 1.0 + 1e-14] += 1.0
     k[size <= absq * (1.0 + 1e-14)] -= 1.0
-    scaled = flat * ctx.q ** k
-    clearance = spiral_clearance(scaled * z, ctx)
+    k = k.reshape(lam1.shape)
+    scaled = lam1 * ctx.q ** k
+    lz = scaled * z1
+    clearance = spiral_clearance(lz, ctx)
     if (clearance < ctx.eps_spiral).any():
         raise PoleError(f"qcharacter pole: lam*z within {clearance.min():.2e} of q^Z")
-    th = theta(np.concatenate(([z], scaled * z)), ctx)
-    prefac = complex(z) ** -k
-    out = np.where(scaled == 1.0, prefac, prefac * (th[0] / th[1:]))
-    return complex(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
+    th = theta(np.concatenate((z1.reshape(-1), lz.reshape(-1))), ctx)
+    ratio = th[: z1.size].reshape(z1.shape) / th[z1.size :].reshape(lz.shape)
+    prefac = z1 ** -k
+    out = np.where(scaled == 1.0, prefac, prefac * ratio)
+    return complex(out[0]) if lam.ndim == z.ndim == 0 else out
 
 
 def lq(z, ctx: QContext):

@@ -139,9 +139,8 @@ def suite_bmw(ctx: QContext, rng: np.random.Generator) -> list[CheckResult]:
     out = []
     for k in range(_PARAM_SETS):
         p = random_case_i_params(rng, ctx)
-        worst = 0.0
-        for z in random_annulus_points(rng, _CONNECTION_POINTS, ctx):
-            worst = max(worst, cn.connection_eval(p, z, ctx, "both").residual_cross)
+        zs = np.array(random_annulus_points(rng, _CONNECTION_POINTS, ctx))
+        worst = np.max(cn.connection_eval(p, zs, ctx, "both").residual_cross)
         out.append(_check("bmw", f"set{k}_cross_method", worst, 1e-6))
     return out
 
@@ -150,26 +149,23 @@ def suite_detminors(ctx: QContext, rng: np.random.Generator) -> list[CheckResult
     """Determinant and all nine 2x2 minor closed forms of the twisted matrix,
     plus localization of the determinant zero."""
     p = random_case_i_params(rng, ctx)
-    det_res = minor_res = laplace_res = 0.0
-    for z in random_annulus_points(rng, _CONNECTION_POINTS, ctx):
-        B = cn.twisted_birkhoff(p, z, ctx)
-        check = cn.check_det_minors(p, B, z, ctx)
-        f = check.det_closed_form
-        det_res = max(det_res, check.det_mismatch)
-        minor_res = max(minor_res, check.max_minor_mismatch)
-        lap = 0.0
-        # Laplace expansion of det along row 1 with the minor closed forms
-        for j, sign in ((1, 1.0), (2, -1.0), (3, 1.0)):
-            cols = tuple(c for c in (1, 2, 3) if c != j)
-            lap += sign * B[0, j - 1] * cn.minor_formula(p, (2, 3), cols, z, ctx)
-        laplace_res = max(laplace_res, abs(lap - f) / max(abs(f), 1e-300))
+    zs = np.array(random_annulus_points(rng, _CONNECTION_POINTS, ctx))
+    B = cn.twisted_birkhoff(p, zs, ctx)
+    check = cn.check_det_minors(p, B, zs, ctx)
+    f = check.det_closed_form
+    # Laplace expansion of det along row 1 with the minor closed forms
+    lap = 0.0
+    for j, sign in ((1, 1.0), (2, -1.0), (3, 1.0)):
+        cols = tuple(c for c in (1, 2, 3) if c != j)
+        lap += sign * B[:, 0, j - 1] * cn.minor_formula(p, (2, 3), cols, zs, ctx)
+    laplace_res = np.max(np.abs(lap - f) / np.maximum(np.abs(f), 1e-300))
     # determinant zero exactly on (b2 b3/(q^2 a1 a2 a3)) q^Z
     z0 = p.b2 * p.b3 / (ctx.q ** 2 * p.a[0] * p.a[1] * p.a[2])
     scale = abs(cn.det_formula(p, z0 * 1.2, ctx))
     loc = abs(cn.det_formula(p, z0, ctx)) / max(scale, 1e-300)
     return [
-        _check("detminors", "determinant_closed_form", det_res, 1e-8),
-        _check("detminors", "all_nine_minors", minor_res, 1e-8),
+        _check("detminors", "determinant_closed_form", np.max(check.det_mismatch), 1e-8),
+        _check("detminors", "all_nine_minors", np.max(check.max_minor_mismatch), 1e-8),
         _check("detminors", "laplace_consistency", laplace_res, 1e-8),
         _check("detminors", "det_zero_localization", loc, 1e-6),
     ]

@@ -1,8 +1,10 @@
 """Command-line surface: parsing, JSON reports, exit codes, determinism."""
 
+import cmath
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from qgalois import spiral
@@ -78,19 +80,46 @@ def test_verify_suite(capsys):
 
 
 def test_connection_skips_singular_points(capsys):
-    code, out, _ = _run(
-        capsys, "connection", "--q", "0.5",
-        "--a", "q^0.1,q^0.2,q^0.4", "--b", "q,q^0.15,q^0.33",
-        "--z", "0.7+0.2j,1,q^0.5",
-    )
+    argv = ["connection", "--q", "0.5", "--a", "q^0.1,q^0.2,q^0.4", "--b", "q,q^0.15,q^0.33"]
+    code, out, _ = _run(capsys, *argv, "--z", "0.7+0.2j,1,q^0.5,0,nan,-0.6+0.3j")
     assert code == 2  # a skipped point leaves the table undetermined
-    d = json.loads(out)
-    assert len(d["rows"]) == 3
-    assert "skipped" in d["rows"][1]
-    good = d["rows"][0]
-    assert good["cross_method_residual"] < 1e-6
-    assert good["det_mismatch"] < 1e-8
-    assert good["max_minor_mismatch"] < 1e-8
+    rows = json.loads(out)["rows"]
+    zs = [complex(r["z"]["re"], r["z"]["im"]) for r in rows]
+    assert zs[:4] == [0.7 + 0.2j, 1, 0.5 ** 0.5, 0] and cmath.isnan(zs[4]) and zs[5] == -0.6 + 0.3j
+    # the batch raises, so each point is evaluated alone and only its row skipped
+    assert [r.get("skipped") for r in rows] == [
+        None,
+        "PoleError: qcharacter pole: lam*z within 0.00e+00 of q^Z",
+        None,
+        "DomainError: evaluation points must be finite and nonzero",
+        "DomainError: evaluation points must be finite and nonzero",
+        None,
+    ]
+    good = [rows[k] for k in (0, 2, 5)]
+    for row in good:
+        assert row["cross_method_residual"] < 1e-6
+        assert row["det_mismatch"] < 1e-8
+        assert row["max_minor_mismatch"] < 1e-8
+    code, out, _ = _run(capsys, *argv, "--z", "0.7+0.2j,q^0.5,-0.6+0.3j")
+    assert code == 0
+    for row, ref in zip(good, json.loads(out)["rows"]):
+        assert row.keys() == ref.keys()
+        for key in ("P", "P_twisted"):
+            m, r = _matrix(row[key]), _matrix(ref[key])
+            assert np.max(np.abs(m - r)) <= 1e-14 * np.max(np.abs(r))
+        for key in ("det_numeric", "det_closed_form"):
+            m, r = _complex(row[key]), _complex(ref[key])
+            assert abs(m - r) <= 1e-14 * abs(r)
+        for key in ("cross_method_residual", "det_mismatch", "max_minor_mismatch"):
+            assert abs(row[key] - ref[key]) <= 1e-14 * ref[key]
+
+
+def _complex(v):
+    return complex(v["re"], v["im"])
+
+
+def _matrix(rows):
+    return np.array([[_complex(v) for v in row] for row in rows])
 
 
 @pytest.mark.parametrize("a, b, code, skipped", [

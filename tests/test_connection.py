@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qgalois import cli, connection, galois, hypersystem, qseries
+from qgalois.connection import check_det_minors
 from qgalois import (
     BadIndexError,
     HyperParams,
@@ -283,11 +284,14 @@ def _reference_minor(p, rows, cols, z, ctx):
     return pref * num * thetas / den * _weights(p, z, ctx, rows, cols) * quotient
 
 
+# eight points on both sides of the series radii, for the fixture p at q = 0.5
+_EIGHT_POINTS = "0.7+0.2j,-0.6+0.3j,1.5+0.5j,-2+1j,0.3-0.8j,3+0.1j,-0.9-0.9j,0.2+0.6j"
+
+
 def test_cli_connection_computes_each_pochhammer_once(monkeypatch, capsys):
     calls = _counting_qpoch(monkeypatch)
-    zs = "0.7+0.2j,-0.6+0.3j,1.5+0.5j,-2+1j,0.3-0.8j,3+0.1j,-0.9-0.9j,0.2+0.6j"
     rc = cli.main(["connection", "--q", "0.5", "--a", "q^0.13,q^0.37,q^0.71",
-                   "--b", "q,q^0.29,q^0.58", "--z", zs])
+                   "--b", "q,q^0.29,q^0.58", "--z", _EIGHT_POINTS])
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert rc == 0
     assert len(rows) == 8 and not any("skipped" in r for r in rows)
@@ -374,6 +378,83 @@ def test_connection_eval_makes_three_theta_calls_per_point(monkeypatch, ctx, p):
         connection_eval(p, z, ctx, "both")
     # the closed-form core, and one q-character call per side
     assert len(calls) == 3 * len(zs)
+
+
+def _counting_qcharacter(monkeypatch):
+    """Count qcharacter calls through every binding the package calls."""
+    calls = []
+    original = qseries.qcharacter
+
+    def counted(lam, z, ctx):
+        calls.append(np.shape(z))
+        return original(lam, z, ctx)
+
+    monkeypatch.setattr(qseries, "qcharacter", counted)
+    monkeypatch.setattr(hypersystem, "qcharacter", counted)
+    return calls
+
+
+def test_cli_connection_makes_one_batch_of_calls(monkeypatch, capsys, ctx, p):
+    zs = [complex(s) for s in _EIGHT_POINTS.split(",")]
+    assert cli.cmd_connection(ctx, "json", p, zs) == 0  # fills the per-equation memo
+    capsys.readouterr()
+    thetas, characters = _counting_theta(monkeypatch), _counting_qcharacter(monkeypatch)
+    assert cli.cmd_connection(ctx, "json", p, zs) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 8 and not any("skipped" in r for r in rows)
+    # one q-character call per side, the closed-form core and the det/minor
+    # check, each over all eight points (one call per point each before)
+    assert len(thetas) == 4
+    assert characters == [(8, 1), (8, 1)]
+
+
+def _batch_points(ctx):
+    """Eight points, half of them inside the unit circle and half outside."""
+    zs = _annulus(np.random.default_rng(11), ctx, 8)
+    return np.array(zs[:4] + [z / ctx.q for z in zs[4:]])
+
+
+def _rel(x, ref):
+    return np.max(np.abs(np.asarray(x) - ref)) / max(np.max(np.abs(ref)), 1e-300)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.7, 0.5 * cmath.exp(0.5j)])
+@pytest.mark.parametrize("method", ["both", "numeric", "closed_form"])
+def test_connection_eval_batch_equals_its_points(q, method):
+    ctx = QContext(q)
+    p = HyperParams.from_exponents(ctx, (0.13, 0.37, 0.71), (0.29, 0.58))
+    zs = _batch_points(ctx)
+    batch = connection_eval(p, zs, ctx, method)
+    assert batch.P.shape == batch.P_twisted.shape == (8, 3, 3)
+    for k, z in enumerate(zs):
+        one = connection_eval(p, complex(z), ctx, method)
+        assert one.P.shape == one.P_twisted.shape == (3, 3)
+        assert _rel(batch.P[k], one.P) <= 1e-14
+        assert _rel(batch.P_twisted[k], one.P_twisted) <= 1e-14
+        if method == "both":
+            assert type(one.residual_cross) is float
+            assert _rel(batch.residual_cross[k], one.residual_cross) <= 1e-14
+        else:
+            assert batch.residual_cross is one.residual_cross is None
+
+
+@pytest.mark.parametrize("q", [0.5, 0.7, 0.5 * cmath.exp(0.5j)])
+def test_check_det_minors_batch_equals_its_points(q):
+    ctx = QContext(q)
+    p = HyperParams.from_exponents(ctx, (0.13, 0.37, 0.71), (0.29, 0.58))
+    zs = _batch_points(ctx)
+    B = twisted_birkhoff(p, zs, ctx)
+    batch = check_det_minors(p, B, zs, ctx)
+    fields = ("det_numeric", "det_closed_form", "det_mismatch", "max_minor_mismatch")
+    for name in fields:
+        assert np.shape(getattr(batch, name)) == (8,)
+    assert np.max(batch.max_minor_mismatch) < 1e-8
+    for k, z in enumerate(zs):
+        one = check_det_minors(p, B[k], complex(z), ctx)
+        assert type(one.det_numeric) is type(one.det_closed_form) is complex
+        assert type(one.det_mismatch) is type(one.max_minor_mismatch) is float
+        for name in fields:
+            assert _rel(getattr(batch, name)[k], getattr(one, name)) <= 1e-14
 
 
 def test_twisted_birkhoff_logarithmic_makes_no_theta_call(monkeypatch, ctx):
