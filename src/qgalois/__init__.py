@@ -37,7 +37,6 @@ from .qseries import (
     theta_triple_product,
     qcharacter,
     lq,
-    phi3_2,
     qhyper_series,
 )
 from .mat3 import (

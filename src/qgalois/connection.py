@@ -12,18 +12,22 @@ Every q-Pochhammer factor in these closed forms depends on the parameters
 only, as do the local solutions.  That data is computed once per equation and
 memoized on the HyperParams instance, one record per QContext: the spiral
 pattern, the local pair and the genericity verdict read from it, the 31
-distinct (x;q)_infinity values, the p_ij matrix built from them, the
-determinant prefactor, the z-independent factor of each minor, and the
-spiral exponents of a and (q, b2, b3) behind the twist weights.  The
-record lives as long as the instance, so reuse one instance across
-evaluation points; an equal but distinct instance computes its own.  A
-computation that raises stores nothing.
+distinct (x;q)_infinity values, the p_ij matrix built from them, the nine
+core shifts q a_i / b_j, the determinant prefactor, the factors f of the
+eleven thetas theta_q(f z) of the determinant and minor closed forms, the
+minor table (the z-independent factors of the nine minors as a 3x3 array
+indexed by the row and column each leaves out, its six thetas from one theta
+call), and the spiral exponents of a and (q, b2, b3) behind the twist
+weights.  The record lives as long as the instance, so reuse one instance
+across evaluation points; an equal but distinct instance computes its own.
+A computation that raises stores nothing.
 
 The z-dependent side is evaluated over arrays of z by one implementation on
 that record: the twist weights exp(-omega log_q(z) log q) from one log_q call
 over z and 1/z, and the core from one theta call over z and the nine
 q a_i z / b_j.  The closed-form core, the twisted matrix, the determinant and
-minor formulas (all eleven thetas of a batch from one theta call) and
+minor formulas (the eleven thetas of a batch from one theta call; a minor
+with a reversed row or column pair is its table entry negated) and
 connection_eval take their thetas and weights from it.  connection_eval
 takes the character matrices of a batch from one q-character call per side
 and P from one solve over the stacked 3x3 matrices; check_det_minors forms
@@ -99,9 +103,10 @@ class ConnectionEval:
 _RATIO_LABELS = ("a1/a2", "a1/a3", "a2/a3", "b2", "b3", "b2/b3")
 
 
-def _others(k: int) -> list[int]:
-    """The two 0-based indices other than k."""
-    return [m for m in range(3) if m != k]
+# The 0-based rows (or columns) other than k in increasing order, those a 2x2
+# minor keeps when it leaves out row (or column) k; _K1, _K2 as index arrays.
+_KEPT = ((1, 2), (0, 2), (0, 1))
+_K1, _K2 = np.array(_KEPT).T
 
 
 class _Equation:
@@ -112,7 +117,6 @@ class _Equation:
     def __init__(self, p: HyperParams, ctx: QContext):
         self.p = p
         self.ctx = ctx
-        self.minors: dict[tuple, complex] = {}
 
     @functools.cached_property
     def pattern(self) -> SpiralPattern:
@@ -168,8 +172,8 @@ class _Equation:
     def coefficient_factors(self, i: int, j: int) -> tuple[list, list]:
         """Numerator and denominator factors of p_{i+1,j+1} (0-based i, j)."""
         qa, ba, qb, aa, _ = self.pochhammer
-        num = [qa[j][k] for k in _others(i)] + [ba[k][i] for k in _others(j)]
-        den = [qb[j][k] for k in _others(j)] + [aa[k][i] for k in _others(i)]
+        num = [qa[j][k] for k in _KEPT[i]] + [ba[k][i] for k in _KEPT[j]]
+        den = [qb[j][k] for k in _KEPT[j]] + [aa[k][i] for k in _KEPT[i]]
         return num, den
 
     @functools.cached_property
@@ -186,34 +190,49 @@ class _Equation:
 
     @functools.cached_property
     def det_prefactor(self) -> complex:
-        q = self.ctx.q
-        a1, a2, a3 = self.p.a
-        b2, b3 = self.p.b2, self.p.b3
-        return (
-            q
-            * ((1 - q / b2) * (1 - q / b3) * (1 / b2 - 1 / b3))
-            / ((1 / a2 - 1 / a1) * (1 / a3 - 1 / a1) * (1 / a2 - 1 / a3))
-        )
+        q, (a1, a2, a3), b2, b3 = self.ctx.q, self.p.a, self.p.b2, self.p.b3
+        num = (1 - q / b2) * (1 - q / b3) * (1 / b2 - 1 / b3)
+        return q * num / ((1 / a2 - 1 / a1) * (1 / a3 - 1 / a1) * (1 / a2 - 1 / a3))
 
-    def minor_constant(self, rows: tuple[int, int], cols: tuple[int, int]) -> complex:
-        """The z-independent factor pref * num * theta(a_i1/a_i2) *
-        theta(b_j1/b_j2) / den of the (rows) x (cols) minor."""
-        key = (tuple(rows), tuple(cols))
-        if key not in self.minors:
-            q = self.ctx.q
-            a, b = self.p.a, self.p.b(self.ctx)
-            qa, ba, _, _, qq = self.pochhammer
-            i1, i2 = (k - 1 for k in rows)
-            j1, j2 = (k - 1 for k in cols)
-            i3, j3 = 3 - i1 - i2, 3 - j1 - j2
+    @functools.cached_property
+    def minor_constants(self) -> np.ndarray:
+        """The z-independent factors pref * num * theta(a_i1/a_i2) *
+        theta(b_j1/b_j2) / den of the nine minors (i1 < i2, j1 < j2) as a 3x3
+        array indexed by the row and column each leaves out; the six thetas
+        from one theta call, the rest in Python complex arithmetic (so a
+        denominator that underflows raises ZeroDivisionError, not inf)."""
+        q = self.ctx.q
+        a, b = self.p.a, self.p.b(self.ctx)
+        qa, ba, _, _, qq = self.pochhammer
+        ratios = [a[i1] / a[i2] for i1, i2 in _KEPT] + [b[j1] / b[j2] for j1, j2 in _KEPT]
+        thetas = theta(np.array(ratios), self.ctx).tolist()
+
+        def constant(i3: int, j3: int) -> complex:
+            (i1, i2), (j1, j2) = _KEPT[i3], _KEPT[j3]
             num = qa[j1][i3] * ba[j3][i1] * qa[j2][i3] * ba[j3][i2]
-            den = math.prod(
-                self.coefficient_factors(i1, j1)[1] + self.coefficient_factors(i2, j2)[1]
-            )
+            den = math.prod(self.coefficient_factors(i1, j1)[1] + self.coefficient_factors(i2, j2)[1])
             pref = (-q / qq ** 2) * (a[i2] / b[j1])
-            thetas = theta(a[i1] / a[i2], self.ctx) * theta(b[j1] / b[j2], self.ctx)
-            self.minors[key] = pref * num * thetas / den
-        return self.minors[key]
+            return pref * num * (thetas[i3] * thetas[3 + j3]) / den
+
+        return np.array([[constant(i3, j3) for j3 in range(3)] for i3 in range(3)])
+
+    @functools.cached_property
+    def theta_factors(self) -> np.ndarray:
+        """Numerators and denominators (rows 0, 1) of the eleven f of the
+        thetas theta_q(f z): 1, q^2 a1 a2 a3 / (b2 b3) of the determinant, then
+        q^2 a_i1 a_i2 / (b_j1 b_j2) of each minor in row-major table order."""
+        q = self.ctx.q
+        a, b = self.p.a, self.p.b(self.ctx)
+        num = [1.0, q * q * a[0] * a[1] * a[2]]
+        num += [q * q * a[i1] * a[i2] for i1, i2 in _KEPT for _ in _KEPT]
+        den = [1.0, b[1] * b[2]] + [b[j1] * b[j2] for _ in _KEPT for j1, j2 in _KEPT]
+        return np.array([num, den])
+
+    @functools.cached_property
+    def shifts(self) -> np.ndarray:
+        """The nine core shifts q a_i / b_j, row-major."""
+        q = self.ctx.q
+        return np.array([q * ai / bj for ai in self.p.a for bj in self.p.b(self.ctx)])
 
     def weights(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Row weights (1/z)^(-alpha_i) and column weights z^(-beta_j) of the
@@ -242,53 +261,37 @@ class _Equation:
         left = rows[..., :, None] * _unipotent_power(locinf.U, -ell)
         return left @ core @ _unipotent_power(loc0.U, ell)
 
-    def det_and_minors(self, z, pairs) -> tuple[np.ndarray, np.ndarray]:
+    def det_and_minors(self, z, minors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
         """Closed forms at z (a complex or an array) of the twisted
-        determinant, shape z.shape, and of the minors with (rows, cols) in
-        pairs, shape z.shape + (len(pairs),), from one weights and one theta
-        call.
+        determinant, shape z.shape, and (None unless minors) of the nine
+        minors, shape z.shape + (3, 3) indexed as minor_constants, from one
+        weights and one theta call.
 
         Each is its z-independent factor, times the weights of its rows and
         columns, times theta_q(q^2 prod(a) z / prod(b)) / theta_q(z) over the
-        a's of its rows and the b's of its columns.  The genericity check is
-        the caller's."""
+        a's of its rows and the b's of its columns.  The determinant alone
+        needs no q-Pochhammer value.  The genericity check is the caller's."""
         shape = np.shape(z)
         # at least 1-d, so that one point rounds as it does within a batch
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        q = self.ctx.q
-        a, b = self.p.a, self.p.b(self.ctx)
         wr, wc = self.weights(z)
-        num = [1.0, q * q * a[0] * a[1] * a[2]]
-        den = [1.0, b[1] * b[2]]
-        for (i1, i2), (j1, j2) in pairs:
-            num.append(q * q * a[i1 - 1] * a[i2 - 1])
-            den.append(b[j1 - 1] * b[j2 - 1])
-        th = theta(z[..., None] * np.array(num) / np.array(den), self.ctx)
+        num, den = self.theta_factors[:, : 11 if minors else 2]
+        th = theta(z[..., None] * num / den, self.ctx)
         det = self.det_prefactor * np.prod(wr, axis=-1) * np.prod(wc, axis=-1) * th[..., 1] / th[..., 0]
-        constants = np.array([self.minor_constant(rows, cols) for rows, cols in pairs], dtype=complex)
-        i1, i2, j1, j2 = _minor_index(pairs)
-        minors = (
-            constants
-            * (wr[..., i1] * wr[..., i2] * wc[..., j1] * wc[..., j2])
-            * th[..., 2:] / th[..., :1]
-        )
-        return det.reshape(shape), minors.reshape(shape + (len(pairs),))
+        if not minors:
+            return det.reshape(shape), None
+        weights = wr[..., _K1, None] * wr[..., _K2, None] * wc[..., None, _K1] * wc[..., None, _K2]
+        quotients = th[..., 2:].reshape(z.shape + (3, 3))
+        table = self.minor_constants * weights * quotients / th[..., :1, None]
+        return det.reshape(shape), table.reshape(shape + (3, 3))
 
     def core(self, z) -> np.ndarray:
         """The theta-quotient core p_ij theta_q(q a_i z/b_j)/theta_q(z) at z
         (a complex or an array), shape z.shape + (3, 3), from one theta call.
         The genericity check is the caller's."""
         z = np.asarray(z, dtype=complex)
-        q = self.ctx.q
-        shifts = np.array([q * ai / bj for ai in self.p.a for bj in self.p.b(self.ctx)])
-        th = theta(np.concatenate((z[..., None], z[..., None] * shifts), axis=-1), self.ctx)
+        th = theta(np.concatenate((z[..., None], z[..., None] * self.shifts), axis=-1), self.ctx)
         return self.p_matrix * (th[..., 1:].reshape(z.shape + (3, 3)) / th[..., 0, None, None])
-
-
-def _minor_index(pairs) -> np.ndarray:
-    """The 0-based rows i1, i2 and columns j1, j2 of the minors with
-    (rows, cols) in pairs, as four index arrays."""
-    return np.array([(*rows, *cols) for rows, cols in pairs], dtype=int).reshape(-1, 4).T - 1
 
 
 def _equation(p: HyperParams, ctx: QContext) -> _Equation:
@@ -347,12 +350,6 @@ def _numeric_cores(p: HyperParams, z, ctx: QContext) -> np.ndarray:
     return np.reshape(cores, np.shape(z) + (3, 3))
 
 
-def _e_pair(p: HyperParams, z, ctx: QContext) -> tuple[np.ndarray, np.ndarray]:
-    """Character matrices e_J(z) of the local solutions at infinity and at 0."""
-    loc0, locinf = local_pair(p, ctx)
-    return e_matrix(locinf, z, ctx), e_matrix(loc0, z, ctx)
-
-
 def _like(z, value):
     """value as a Python scalar at a scalar z, else the array."""
     return value.item() if np.ndim(z) == 0 else value
@@ -378,22 +375,21 @@ def det_formula(p: HyperParams, z, ctx: QContext):
     """Closed form of det of the twisted connection matrix; z may be an
     array, giving an array of that shape."""
     _check_point(z)
-    return _like(z, _generic(p, ctx).det_and_minors(z, ())[0])
+    return _like(z, _generic(p, ctx).det_and_minors(z, minors=False)[0])
 
 
-def minor_formula(
-    p: HyperParams,
-    rows: tuple[int, int],
-    cols: tuple[int, int],
-    z,
-    ctx: QContext,
-):
+def minor_formula(p: HyperParams, rows: tuple[int, int], cols: tuple[int, int], z, ctx: QContext):
     """Closed form of the (i1,i2) x (j1,j2) minor of the twisted matrix; z
     may be an array, giving an array of that shape.  BadIndexError unless
-    rows and cols are each two distinct indices in {1, 2, 3}, as in minor2."""
+    rows and cols are each two distinct indices in {1, 2, 3}, as in minor2.
+    It is the table entry of the row and column left out, negated once for
+    each pair given in decreasing order."""
     _check_index_pairs(rows, cols)
     _check_point(z)
-    return _like(z, _generic(p, ctx).det_and_minors(z, [(rows, cols)])[1][..., 0])
+    minor = _generic(p, ctx).det_and_minors(z)[1][..., 5 - sum(rows), 5 - sum(cols)]
+    if (rows[0] > rows[1]) != (cols[0] > cols[1]):
+        minor = -minor
+    return _like(z, minor)
 
 
 @dataclass(frozen=True)
@@ -408,20 +404,16 @@ class DetMinorCheck:
     max_minor_mismatch: float | np.ndarray
 
 
-_PAIRS = ((1, 2), (1, 3), (2, 3))
-_MINORS = tuple((rows, cols) for rows in _PAIRS for cols in _PAIRS)
-
-
 def check_det_minors(p: HyperParams, B: np.ndarray, z, ctx: QContext) -> DetMinorCheck:
     """Check the twisted matrix B at z against the closed forms of its
     determinant and all nine minors (det_formula and minor_formula, here from
     one evaluation).  z may be an array, with B of shape z.shape + (3, 3)."""
     _check_point(z)
     det_n = np.linalg.det(B)
-    det_c, minors = _generic(p, ctx).det_and_minors(z, _MINORS)
-    i1, i2, j1, j2 = _minor_index(_MINORS)
-    numeric = B[..., i1, j1] * B[..., i2, j2] - B[..., i1, j2] * B[..., i2, j1]
-    worst = np.max(np.abs(numeric - minors) / np.maximum(np.abs(minors), 1e-300), axis=-1)
+    det_c, minors = _generic(p, ctx).det_and_minors(z)
+    i1, i2 = _K1[:, None], _K2[:, None]
+    numeric = B[..., i1, _K1] * B[..., i2, _K2] - B[..., i1, _K2] * B[..., i2, _K1]
+    worst = np.max(np.abs(numeric - minors) / np.maximum(np.abs(minors), 1e-300), axis=(-2, -1))
     return DetMinorCheck(
         det_numeric=_like(z, det_n),
         det_closed_form=_like(z, det_c),
@@ -444,7 +436,8 @@ def connection_eval(p: HyperParams, z, ctx: QContext, method: str = "both") -> C
         raise DomainError(f"unknown method {method!r}")
     _check_point(z)
     eq = _equation(p, ctx) if method == "numeric" else _generic(p, ctx)
-    ei, e0 = _e_pair(p, z, ctx)
+    loc0, locinf = eq.local_pair
+    ei, e0 = e_matrix(locinf, z, ctx), e_matrix(loc0, z, ctx)
     if method != "closed_form":
         numeric = _numeric_cores(p, z, ctx)
     core = numeric if method == "numeric" else eq.core(z)
@@ -454,8 +447,4 @@ def connection_eval(p: HyperParams, z, ctx: QContext, method: str = "both") -> C
         Pn = np.linalg.solve(ei, numeric) @ e0
         scale = np.maximum(np.max(np.abs(P), axis=(-2, -1)), 1e-300)
         res = _like(z, np.max(np.abs(Pn - P), axis=(-2, -1)) / scale)
-    return ConnectionEval(
-        P=P,
-        P_twisted=eq.twisted(z, core),
-        residual_cross=res,
-    )
+    return ConnectionEval(P=P, P_twisted=eq.twisted(z, core), residual_cross=res)

@@ -34,7 +34,6 @@ __all__ = [
     "theta_triple_product",
     "qcharacter",
     "lq",
-    "phi3_2",
     "qhyper_series",
 ]
 
@@ -224,9 +223,10 @@ def qhyper_series(
 ) -> tuple[complex, TruncationReport]:
     """sum_n  prod_i (num_i;q)_n / prod_j (den_j;q)_n  * z^n  for |z| < 1.
 
-    General kernel behind phi3_2; the denominator tuple carries its own copy of
-    q when the classical normalization is wanted.  Raises DomainError at a
-    non-finite z or parameter.
+    With three numerator and three denominator parameters this is the 3phi2
+    series; the denominator tuple carries its own copy of q when the
+    classical normalization is wanted.  Raises DomainError at a non-finite z
+    or parameter.
     """
     nums = [complex(v) for v in num]
     dens = [complex(v) for v in den]
@@ -264,15 +264,3 @@ def qhyper_series(
         if n > _N_MAX:
             raise NonConvergentError("q-hypergeometric series hit the term cap")
 
-
-def phi3_2(
-    a: Sequence[complex],
-    b: Sequence[complex],
-    z: complex,
-    ctx: QContext,
-) -> tuple[complex, TruncationReport]:
-    """The order-3 basic hypergeometric series
-    sum_n (a1,a2,a3;q)_n / (b1,b2,b3;q)_n z^n, conventionally with b1 = q."""
-    if len(a) != 3 or len(b) != 3:
-        raise DomainError("phi3_2 takes parameter triples")
-    return qhyper_series(a, b, z, ctx)

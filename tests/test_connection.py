@@ -4,6 +4,7 @@ ellipticity, determinant/minor closed forms, and the logarithmic limits."""
 import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qgalois import (
     BadIndexError,
     HyperParams,
     QContext,
+    QGaloisError,
     SpiralCollisionError,
     connection_eval,
     core_closed_form,
@@ -316,6 +318,42 @@ def test_memoized_constants_match_plain_formulas(q):
                 assert abs(minor_formula(p, rows, cols, z, ctx) - ref) <= 1e-14 * abs(ref)
 
 
+@pytest.mark.parametrize("q", [0.5, 0.5 * cmath.exp(0.5j)])
+def test_reversed_pairs_negate_the_minor_exactly(q):
+    ctx = QContext(q)
+    p = HyperParams.from_exponents(ctx, (0.13, 0.37, 0.71), (0.29, 0.58))
+    for z in (0.7 + 0.2j, np.array([0.7 + 0.2j, 0.6 * cmath.exp(2.3j)])):
+        for rows in _PAIRS:
+            for cols in _PAIRS:
+                forward = minor_formula(p, rows, cols, z, ctx)
+                assert np.array_equal(minor_formula(p, rows[::-1], cols, z, ctx), -forward)
+                assert np.array_equal(minor_formula(p, rows, cols[::-1], z, ctx), -forward)
+                assert np.array_equal(minor_formula(p, rows[::-1], cols[::-1], z, ctx), forward)
+
+
+def test_closed_forms_near_unit_q_raise_or_are_finite(monkeypatch):
+    # at q = 0.99 the (x;q)_inf of the minor denominators underflow to 0; that
+    # must raise, never give an infinity or a NaN (RuntimeWarnings are ignored
+    # so that a silent non-finite value shows as one)
+    ctx, z = QContext(0.99), 0.7 + 0.2j
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        p = HyperParams.from_exponents(ctx, (0.1, 0.2, 0.4), (0.15, 0.33))  # the README's
+        calls = _counting_qpoch(monkeypatch)
+        det = det_formula(p, z, ctx)
+        assert calls == [] and cmath.isfinite(det)
+        B = connection_eval(p, z, ctx).P_twisted
+        for evaluate in (
+            lambda: list(vars(check_det_minors(p, B, z, ctx)).values()),
+            lambda: [minor_formula(p, (1, 2), (1, 3), z, ctx)],
+        ):
+            try:
+                values = evaluate()
+            except (ZeroDivisionError, QGaloisError):
+                continue
+            assert all(cmath.isfinite(v) for v in values), values
+
+
 def test_genericity_error_raised_on_every_call(ctx):
     bad = HyperParams(a=(ctx.qpow(0.3), ctx.qpow(1.3), ctx.qpow(0.7)), b2=ctx.qpow(0.2), b3=ctx.qpow(0.5))
     z = 0.7 + 0.1j
@@ -406,6 +444,16 @@ def test_cli_connection_makes_one_batch_of_calls(monkeypatch, capsys, ctx, p):
     # check, each over all eight points (one call per point each before)
     assert len(thetas) == 4
     assert characters == [(8, 1), (8, 1)]
+
+
+def test_cli_connection_fresh_equation_makes_five_theta_calls(monkeypatch, capsys, ctx, p):
+    zs = [complex(s) for s in _EIGHT_POINTS.split(",")]
+    thetas = _counting_theta(monkeypatch)
+    assert cli.cmd_connection(ctx, "json", p, zs) == 0
+    capsys.readouterr()
+    # the four of a warmed command, and the six thetas of the minor table
+    assert len(thetas) == 5
+    assert [np.shape(z) for z in thetas].count((6,)) == 1
 
 
 def _batch_points(ctx):

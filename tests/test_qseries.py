@@ -13,7 +13,6 @@ from qgalois import (
     PoleError,
     QContext,
     lq,
-    phi3_2,
     qcharacter,
     qhyper_series,
     qpochhammer_infinite,
@@ -85,13 +84,8 @@ def test_lq_shift_law(ctx, rng):
 
 def test_phi_reduces_to_geometric_series(ctx):
     # identical numerator and denominator tuples cancel term by term
-    val, _ = phi3_2((ctx.q, 0.3, 0.4), (ctx.q, 0.3, 0.4), 0.35, ctx)
+    val, _ = qhyper_series((ctx.q, 0.3, 0.4), (ctx.q, 0.3, 0.4), 0.35, ctx)
     assert abs(val - 1.0 / (1.0 - 0.35)) < 1e-12
-
-
-def test_phi_parameter_arity(ctx):
-    with pytest.raises(DomainError):
-        phi3_2((0.3, 0.4), (ctx.q, 0.3, 0.4), 0.2, ctx)
 
 
 def test_qhyper_series_divergence_guard(ctx):
